@@ -2,20 +2,18 @@
 //!
 //! A thin wrapper over the harness's `scale_pool` spec
 //! ([`aiac_bench::harness::spec::scale_pool_spec`]): the ring contraction
-//! driven through the threaded executor three ways — the synchronous (SISC)
-//! barrier-separated supersteps, the asynchronous (AIAC) work-stealing
-//! worker pool, and the shared-FIFO scheduling baseline the stealing pool
-//! replaced. The spec's checks assert the properties the one-thread-per-
-//! block executor could not offer: the process needs only `num_workers` OS
+//! driven through the threaded executor both ways — the synchronous (SISC)
+//! barrier-separated supersteps and the asynchronous (AIAC) worker pool.
+//! The spec's checks assert the properties the one-thread-per-block
+//! executor could not offer: the process needs only `num_workers` OS
 //! threads regardless of the block count, peak in-flight data stays bounded
-//! by the dependency-edge count, an oversubscribed stealing pool actually
-//! steals, and stealing is not slower than the FIFO queue.
+//! by the dependency-edge count, and no payload is copied.
 //!
 //! Usage: `scale_pool [blocks] [workers] [--trace PATH] [--overhead-gate]` —
 //! `blocks` defaults to 1024, `workers` to the machine's available
 //! parallelism.
 //!
-//! * `--trace PATH` — additionally runs the asynchronous stealing cell once
+//! * `--trace PATH` — additionally runs the asynchronous cell once
 //!   with tracing enabled and writes the per-worker Chrome trace-event JSON
 //!   to `PATH` (schema-checked before writing).
 //! * `--overhead-gate` — additionally measures the wall-clock cost of
@@ -33,15 +31,14 @@ use std::time::Instant;
 use aiac_bench::harness::run_spec;
 use aiac_bench::harness::spec::{scale_pool_spec, ExperimentSpec, ProblemSpec};
 use aiac_bench::scale::ScaleRing;
-use aiac_core::config::{RunConfig, StealPolicy};
+use aiac_core::config::RunConfig;
 use aiac_core::runtime::threaded::ThreadedRuntime;
 use aiac_obs::{to_chrome_json, validate_chrome_trace, TraceConfig};
 
 /// Largest tolerated traced/untraced min-wall ratio (the ≤3% overhead gate).
 const OVERHEAD_GATE_RATIO: f64 = 1.03;
 
-/// Absolute slack for runs so short the ratio is pure scheduling noise
-/// (mirrors the harness's not-slower check slack).
+/// Absolute slack for runs so short the ratio is pure scheduling noise.
 const OVERHEAD_GATE_ABS_SLACK_SECS: f64 = 0.05;
 
 /// Interleaved off/on repetitions the overhead gate measures (after one
@@ -99,16 +96,14 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// The asynchronous stealing cell's kernel and configuration, rebuilt from
+/// The asynchronous cell's kernel and configuration, rebuilt from
 /// the spec so the extras measure exactly what the record measured.
 fn async_cell(spec: &ExperimentSpec) -> (ScaleRing, RunConfig) {
     let ProblemSpec::Ring { blocks, cost_secs } = spec.problem else {
         panic!("scale_pool always runs the ring problem");
     };
     let kernel = ScaleRing::new(blocks).with_cost(cost_secs);
-    let mut config = RunConfig::asynchronous(spec.epsilon)
-        .with_streak(spec.streak)
-        .with_steal_policy(StealPolicy::WorkStealing);
+    let mut config = RunConfig::asynchronous(spec.epsilon).with_streak(spec.streak);
     if let Some(workers) = spec.workers {
         config = config.with_num_workers(workers);
     }
@@ -199,7 +194,7 @@ fn main() {
         println!(
             "{:<10}: {:.3} s wall, {} OS workers, {} iterations total, \
              {} data messages ({} coalesced), peak in-flight slots {} / {} edges, \
-             {} steals ({} failed attempts), {} local pushes, {} queue waits",
+             {} queue waits",
             cell.cell,
             metric("wall_median_secs").unwrap_or(f64::NAN),
             metric("workers").unwrap_or(f64::NAN),
@@ -208,9 +203,6 @@ fn main() {
             metric("coalesced_messages").unwrap_or(f64::NAN),
             metric("peak_mailbox_occupancy").unwrap_or(f64::NAN),
             metric("edges").unwrap_or(f64::NAN),
-            metric("steals").unwrap_or(f64::NAN),
-            metric("failed_steal_attempts").unwrap_or(f64::NAN),
-            metric("local_pushes").unwrap_or(f64::NAN),
             metric("queue_wait_events").unwrap_or(f64::NAN),
         );
         for failure in &cell.check_failures {
@@ -233,5 +225,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("ok: all cells bounded in-flight data and the stealing pool held its checks");
+    println!("ok: all cells hit the fixed point with bounded, zero-copy in-flight data");
 }

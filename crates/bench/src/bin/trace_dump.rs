@@ -6,7 +6,7 @@
 //! ```
 //!
 //! * default mode — runs a small workload on each instrumented layer with
-//!   tracing on (the work-stealing pool → `runtime` tracks, the virtual-clock
+//!   tracing on (the threaded worker pool → `runtime` tracks, the virtual-clock
 //!   grid simulation → `netsim` tracks, the virtual-clock service replay →
 //!   `service` tracks), merges the three snapshots and writes the Chrome
 //!   trace-event JSON to `--out PATH` (default `trace_dump.json`). Open the
@@ -25,7 +25,7 @@
 use aiac_bench::harness::spec::service_load_spec;
 use aiac_bench::harness::Fidelity;
 use aiac_bench::scale::ScaleRing;
-use aiac_core::config::{RunConfig, StealPolicy};
+use aiac_core::config::RunConfig;
 use aiac_core::runtime::simulated::SimulatedRuntime;
 use aiac_core::runtime::threaded::ThreadedRuntime;
 use aiac_envs::profile::EnvProfile;
@@ -81,14 +81,13 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// A traced asynchronous run on the real work-stealing pool (`runtime`
+/// A traced asynchronous run on the real worker pool (`runtime`
 /// tracks, one per worker, wall-clock timestamps).
 fn runtime_snapshot() -> TraceSnapshot {
     let kernel = ScaleRing::new(64).with_cost(1e-6);
     let config = RunConfig::asynchronous(1e-8)
         .with_streak(3)
         .with_num_workers(4)
-        .with_steal_policy(StealPolicy::WorkStealing)
         .with_tracing(TraceConfig::on());
     let (report, trace) = ThreadedRuntime::new().run_traced(&kernel, &config);
     assert!(report.converged, "the traced ring run must converge");

@@ -10,10 +10,10 @@
 //!   drained is exactly the multiset pushed;
 //! * the last-element race (owner's `pop` CAS vs a thief's `steal` CAS)
 //!   resolves to exactly one winner in every interleaving;
-//! * the fairness-valve pattern from the threaded executor — the owner
-//!   taking from its *own* deque's FIFO end (an owner-side `steal`, the
-//!   every-17th-lap valve in `stealing_worker`) — preserves exactly-once
-//!   delivery while a foreign thief contends for the same elements;
+//! * the owner taking from its *own* deque's FIFO end (an owner-side
+//!   `steal`, what a service worker does after refilling the deque)
+//!   preserves exactly-once delivery while a foreign thief contends for
+//!   the same elements;
 //! * a deque observed empty from both ends stays empty (no resurrection).
 #![cfg(aiac_check)]
 
@@ -86,13 +86,12 @@ fn owner_pop_vs_concurrent_steal_is_exactly_once() {
     println!("steal/pop harness: {report}");
 }
 
-/// The threaded executor's fairness valve: every `FAIRNESS_INTERVAL`-th lap
-/// the owner takes from its own deque's FIFO end via an owner-side `steal`
-/// (legal Chase–Lev usage) instead of popping LIFO. Model the valve lap
-/// racing a foreign thief: owner-steal, thief-steal, and owner-pop must
-/// still hand out every element exactly once.
+/// The owner takes from its own deque's FIFO end via an owner-side `steal`
+/// (legal Chase–Lev usage) instead of popping LIFO. Model that take racing
+/// a foreign thief: owner-steal, thief-steal, and owner-pop must still hand
+/// out every element exactly once.
 #[test]
-fn fairness_valve_owner_side_steal_is_exactly_once() {
+fn owner_side_steal_is_exactly_once() {
     let report = Builder {
         max_preemptions: 4,
         ..Builder::default()
@@ -115,12 +114,11 @@ fn fairness_valve_owner_side_steal_is_exactly_once() {
             })
         };
         let mut kept = Vec::new();
-        // Valve lap: the owner drains its own FIFO end, exactly like
-        // `stealing_worker` does on every 17th acquisition lap.
+        // The owner takes from its own FIFO end.
         if let Steal::Success(v) = dq.steal() {
             kept.push(v);
         }
-        // Ordinary laps: LIFO pops until the deque is observed empty.
+        // Then LIFO pops until the deque is observed empty.
         while let Some(v) = dq.pop() {
             kept.push(v);
         }
@@ -137,7 +135,7 @@ fn fairness_valve_owner_side_steal_is_exactly_once() {
         report.states > 10_000,
         "harness too small to be meaningful: {report}"
     );
-    println!("fairness-valve harness: {report}");
+    println!("owner-side-steal harness: {report}");
 }
 
 /// Three threads — the owner and two competing thieves — fight over two

@@ -2,21 +2,19 @@
 //! *identically* to `std::sync::atomic` whenever no model-checking context
 //! is installed — even in a binary compiled with `--cfg aiac_check`.
 //!
-//! The sharpest end-to-end probe the repo has for "the scheduler did
-//! exactly what the policy says" is the structural-zero steal-counter
-//! contract: under [`StealPolicy::SharedFifo`] every ready block flows
-//! through the shared injector and the work-stealing machinery is never
-//! touched, so `steals`, `failed_steal_attempts`, `local_pushes`, and
-//! `queue_wait_events` must all be exactly zero — not merely small. Running
-//! that contract here, in the `aiac_check` configuration with the
-//! instrumented facade linked in, proves the fall-through path (no
-//! thread-local explorer context → raw `std` atomics) does not perturb the
-//! real executor: same convergence, same structurally-zero counters.
+//! The probe is the real executor on its default configuration, compiled
+//! in the `aiac_check` configuration with the instrumented facade linked
+//! in: the synchronous pool must stay bit-identical to the sequential sweep
+//! (the barrier protocol's atomics still order every publish before every
+//! take) and the asynchronous pool must still detect convergence at the
+//! fixed point (the mailbox, queue and park/wake atomics still work). Both
+//! hold only if the fall-through path (no thread-local explorer context →
+//! raw `std` atomics) does not perturb the runtime.
 #![cfg(aiac_check)]
 
-use aiac_core::config::{RunConfig, StealPolicy};
+use aiac_core::config::RunConfig;
 use aiac_core::kernel::{BlockUpdate, DependencyView, IterativeKernel};
-use aiac_core::runtime::ThreadedRuntime;
+use aiac_core::runtime::{SequentialRuntime, ThreadedRuntime};
 
 /// A ring of blocks, each contracting toward the mean of its two neighbours
 /// plus a constant — a textbook contraction (factor 1/2 < 1), defined here
@@ -57,12 +55,25 @@ impl IterativeKernel for RingMean {
 }
 
 #[test]
-fn shared_fifo_counters_stay_structurally_zero_under_the_facade() {
+fn the_synchronous_pool_stays_bit_identical_to_sequential_under_the_facade() {
+    let kernel = RingMean { blocks: 8 };
+    let config = RunConfig::synchronous(1e-10);
+    let sequential = SequentialRuntime::new().run(&kernel, &config);
+    let pooled = ThreadedRuntime::new().run(&kernel, &config.with_num_workers(3));
+    assert!(sequential.converged && pooled.converged);
+    assert_eq!(pooled.iterations, sequential.iterations);
+    assert_eq!(
+        pooled.solution, sequential.solution,
+        "facade fall-through must not reorder a publish past the barrier"
+    );
+}
+
+#[test]
+fn the_asynchronous_pool_converges_under_the_facade() {
     let kernel = RingMean { blocks: 8 };
     let config = RunConfig::asynchronous(1e-10)
         .with_streak(4)
-        .with_num_workers(3)
-        .with_steal_policy(StealPolicy::SharedFifo);
+        .with_num_workers(3);
     let report = ThreadedRuntime::new().run(&kernel, &config);
     assert!(
         report.converged,
@@ -75,14 +86,4 @@ fn shared_fifo_counters_stay_structurally_zero_under_the_facade() {
             RingMean::FIXED_POINT
         );
     }
-    assert_eq!(report.steals, 0, "SharedFifo must never steal");
-    assert_eq!(
-        report.failed_steal_attempts, 0,
-        "SharedFifo must never probe a deque"
-    );
-    assert_eq!(report.local_pushes, 0, "SharedFifo must never push locally");
-    assert_eq!(
-        report.queue_wait_events, 0,
-        "SharedFifo parks via the injector only"
-    );
 }

@@ -47,40 +47,6 @@ impl std::fmt::Display for ExecutionMode {
     }
 }
 
-/// How the threaded back-end's asynchronous worker pool schedules ready
-/// blocks (the synchronous mode runs a static partition and ignores this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StealPolicy {
-    /// Per-worker Chase–Lev-style deques (LIFO owner pop) with randomized
-    /// stealing (FIFO) and exponential-backoff parking for idle workers —
-    /// the default, and the only policy the locality bias applies to.
-    #[default]
-    WorkStealing,
-    /// Every ready block goes through one shared FIFO queue. This is the
-    /// pre-work-stealing scheduler, kept as the comparison baseline the
-    /// bench harness gates stealing against.
-    SharedFifo,
-}
-
-impl StealPolicy {
-    /// Both policies, in display order.
-    pub const ALL: [StealPolicy; 2] = [StealPolicy::WorkStealing, StealPolicy::SharedFifo];
-
-    /// Short label used in tables and CLIs.
-    pub fn label(self) -> &'static str {
-        match self {
-            StealPolicy::WorkStealing => "stealing",
-            StealPolicy::SharedFifo => "fifo",
-        }
-    }
-}
-
-impl std::fmt::Display for StealPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Why a [`RunConfig`] failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConfigError {
@@ -92,9 +58,6 @@ pub enum ConfigError {
     ZeroMaxIterations,
     /// An explicit worker-pool size of zero was requested.
     ZeroWorkers,
-    /// The locality bias was requested together with the shared-FIFO
-    /// scheduler, which has no per-worker deque to bias towards.
-    LocalityBiasWithoutStealing,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -105,10 +68,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroMaxIterations => "max_iterations must be > 0",
             ConfigError::ZeroWorkers => {
                 "num_workers must be > 0 (leave it unset for the automatic default)"
-            }
-            ConfigError::LocalityBiasWithoutStealing => {
-                "locality_bias requires steal_policy = work-stealing \
-                 (the shared FIFO queue has no per-worker deques)"
             }
         })
     }
@@ -131,9 +90,6 @@ pub struct RunConfig {
     /// Hard limit on the number of local iterations of any block, "in order
     /// to avoid infinite execution when the process does not converge".
     pub max_iterations: usize,
-    /// Seed forwarded to any randomised component (kept in the config so a
-    /// whole run is reproducible from this single value).
-    pub seed: u64,
     /// Size of the threaded back-end's worker pool. `None` (the default)
     /// resolves to [`std::thread::available_parallelism`]; the pool is never
     /// larger than the number of blocks. The other back-ends ignore it.
@@ -142,16 +98,6 @@ pub struct RunConfig {
     /// outnumber machines (the oversubscribed regime of Figure 3). The
     /// real-thread back-ends ignore it.
     pub placement: PlacementPolicy,
-    /// How the threaded back-end's asynchronous pool schedules ready blocks:
-    /// per-worker deques with randomized stealing (the default) or the
-    /// shared FIFO queue kept as the comparison baseline. The synchronous
-    /// mode and the other back-ends ignore it.
-    pub steal_policy: StealPolicy,
-    /// When true (the default under [`StealPolicy::WorkStealing`]), a block's
-    /// publishes push its ready dependants onto the deque of the worker that
-    /// ran the publisher, so the freshly produced payload is consumed where
-    /// it is cache-hot. Invalid with [`StealPolicy::SharedFifo`].
-    pub locality_bias: bool,
     /// Event-tracing knobs forwarded to the observability plane. Off by
     /// default, in which case every instrumentation site in the runtimes
     /// reduces to one relaxed atomic load and a branch.
@@ -166,11 +112,8 @@ impl RunConfig {
             epsilon,
             convergence_streak: 3,
             max_iterations: 100_000,
-            seed: 0,
             num_workers: None,
             placement: PlacementPolicy::RoundRobin,
-            steal_policy: StealPolicy::WorkStealing,
-            locality_bias: true,
             tracing: TraceConfig::off(),
         }
     }
@@ -182,11 +125,8 @@ impl RunConfig {
             epsilon,
             convergence_streak: 1,
             max_iterations: 100_000,
-            seed: 0,
             num_workers: None,
             placement: PlacementPolicy::RoundRobin,
-            steal_policy: StealPolicy::WorkStealing,
-            locality_bias: true,
             tracing: TraceConfig::off(),
         }
     }
@@ -203,12 +143,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets an explicit worker-pool size for the threaded back-end
     /// (builder style).
     pub fn with_num_workers(mut self, workers: usize) -> Self {
@@ -220,26 +154,6 @@ impl RunConfig {
     /// back-end (builder style).
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Sets the threaded back-end's scheduling policy (builder style).
-    /// Selecting the shared FIFO queue also clears the locality bias, which
-    /// only makes sense with per-worker deques (an explicit
-    /// [`RunConfig::with_locality_bias`] afterwards is rejected by
-    /// validation).
-    pub fn with_steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.steal_policy = policy;
-        if policy == StealPolicy::SharedFifo {
-            self.locality_bias = false;
-        }
-        self
-    }
-
-    /// Sets the dependency-aware placement bias of the work-stealing pool
-    /// (builder style).
-    pub fn with_locality_bias(mut self, bias: bool) -> Self {
-        self.locality_bias = bias;
         self
     }
 
@@ -291,9 +205,6 @@ impl RunConfig {
         if self.num_workers == Some(0) {
             return Err(ConfigError::ZeroWorkers);
         }
-        if self.locality_bias && self.steal_policy == StealPolicy::SharedFifo {
-            return Err(ConfigError::LocalityBiasWithoutStealing);
-        }
         Ok(())
     }
 
@@ -337,11 +248,9 @@ mod tests {
         let c = RunConfig::asynchronous(1e-6)
             .with_max_iterations(500)
             .with_streak(7)
-            .with_seed(42)
             .with_placement(PlacementPolicy::SpeedWeighted);
         assert_eq!(c.max_iterations, 500);
         assert_eq!(c.convergence_streak, 7);
-        assert_eq!(c.seed, 42);
         assert_eq!(c.placement, PlacementPolicy::SpeedWeighted);
         c.validate();
     }
@@ -438,35 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn default_scheduler_is_work_stealing_with_locality_bias() {
-        for c in [RunConfig::asynchronous(1e-6), RunConfig::synchronous(1e-6)] {
-            assert_eq!(c.steal_policy, StealPolicy::WorkStealing);
-            assert!(c.locality_bias);
-            c.validate();
-        }
-    }
-
-    #[test]
-    fn shared_fifo_clears_the_locality_bias_but_an_explicit_bias_is_rejected() {
-        let fifo = RunConfig::asynchronous(1e-6).with_steal_policy(StealPolicy::SharedFifo);
-        assert!(!fifo.locality_bias);
-        assert!(fifo.try_validate().is_ok());
-        let contradictory = fifo.with_locality_bias(true);
-        assert_eq!(
-            contradictory.try_validate(),
-            Err(ConfigError::LocalityBiasWithoutStealing)
-        );
-        assert!(contradictory
-            .try_validate()
-            .unwrap_err()
-            .to_string()
-            .contains("locality_bias"));
-        // turning the bias off under work-stealing is always fine
-        let unbiased = RunConfig::asynchronous(1e-6).with_locality_bias(false);
-        assert!(unbiased.try_validate().is_ok());
-    }
-
-    #[test]
     fn tracing_defaults_off_and_the_builder_enables_it() {
         let c = RunConfig::asynchronous(1e-6);
         assert!(!c.tracing.enabled);
@@ -474,14 +354,6 @@ mod tests {
         assert!(traced.tracing.enabled);
         assert_eq!(traced.tracing.ring_capacity, 1024);
         traced.validate();
-    }
-
-    #[test]
-    fn steal_policy_labels_are_stable() {
-        assert_eq!(StealPolicy::WorkStealing.label(), "stealing");
-        assert_eq!(format!("{}", StealPolicy::SharedFifo), "fifo");
-        assert_eq!(StealPolicy::default(), StealPolicy::WorkStealing);
-        assert_eq!(StealPolicy::ALL.len(), 2);
     }
 
     #[test]

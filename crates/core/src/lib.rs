@@ -53,7 +53,7 @@ pub mod report;
 pub mod runtime;
 
 pub use cancel::CancelToken;
-pub use config::{ConfigError, ExecutionMode, RunConfig, StealPolicy};
+pub use config::{ConfigError, ExecutionMode, RunConfig};
 pub use kernel::{BlockUpdate, IterativeKernel};
 pub use placement::{Placement, PlacementPolicy};
 pub use report::{RunError, RunReport};

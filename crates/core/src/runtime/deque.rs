@@ -1,49 +1,43 @@
-//! Per-worker work-stealing deques for the threaded executor.
+//! A bounded, lock-free work-stealing deque.
 //!
-//! The asynchronous worker pool used to funnel every ready block through one
-//! `Mutex<VecDeque>` guarded by a condition variable — a single contention
-//! point that every publish and every dispatch crossed, and one that is
-//! blind to locality: the worker that produced a block's freshest dependency
-//! payload had no better claim on running that block than any other. At high
-//! core counts the scheduler, not the data plane, becomes the bottleneck
-//! (the lesson of the Cilk / Charm++ / ParalleX many-tasking comparison),
-//! and the proven fix is the same everywhere: give every worker its own
-//! deque, let the owner push and pop at one end in LIFO order (newest work
-//! is cache-hottest), and let idle workers *steal* from the other end in
-//! FIFO order (oldest work has the least locality left to lose).
+//! One end belongs to an owner that pushes and pops in LIFO order (newest
+//! work is cache-hottest); any thread may *steal* from the other end in
+//! FIFO order (oldest work has the least locality left to lose). Its
+//! production user is `aiac-service`, whose dispatcher pushes job tokens
+//! under the service's state lock and whose workers steal them. The
+//! threaded executor does not schedule on it: block iterations want FIFO
+//! order across the whole pool, which one shared queue gives directly
+//! (see [`super::threaded`]).
 //!
-//! [`StealDeque`] is a bounded Chase–Lev-style deque specialised to the
-//! executor's needs:
+//! [`StealDeque`] is a bounded Chase–Lev-style deque:
 //!
-//! * **Elements are block indices** (`usize`), so the buffer can be a slice
+//! * **Elements are plain `usize` tokens**, so the buffer can be a slice
 //!   of `AtomicUsize` slots — every access is an atomic load or store and
 //!   the whole module stays inside the crate's `deny(unsafe_code)` rule
 //!   with **no** scoped allow (unlike the mailbox, which has to juggle
 //!   `Box::into_raw`). A racy slot read is *harmless* here, not UB: the
 //!   value only becomes the thief's when the `top` CAS that guards it
 //!   succeeds, and the CAS fails whenever the slot could have been reused.
-//! * **Bounded capacity, no growth.** The executor enqueues every block at
-//!   most once (a global `queued` bit per block), so no deque can ever hold
-//!   more than `num_blocks` entries; [`StealDeque::new`] rounds that up to
-//!   a power of two and [`StealDeque::push`] reports [`PushError::Full`]
-//!   instead of reallocating — the pool falls back to its shared overflow
-//!   queue, keeping the owner's fast path allocation-free.
+//! * **Bounded capacity, no growth.** [`StealDeque::new`] rounds the
+//!   requested capacity up to a power of two and [`StealDeque::push`]
+//!   reports [`PushError::Full`] instead of reallocating — the caller keeps
+//!   the item and retries later, and the push path stays allocation-free.
 //! * **All-`SeqCst` memory ordering.** The classic Chase–Lev algorithm
 //!   threads a `SeqCst` fence between the owner's `bottom` update and its
 //!   `top` read; using sequentially consistent accesses throughout buys the
 //!   same Dekker-style guarantee (owner and thief cannot both miss each
-//!   other on the last element) at a cost that is irrelevant next to a
-//!   block iteration, and it keeps the proof — and the TSan/Miri runs in CI
-//!   — straightforward.
+//!   other on the last element) at a cost that is irrelevant next to the
+//!   work an element stands for, and it keeps the proof — and the TSan/Miri
+//!   runs in CI — straightforward.
 //!
 //! Ownership discipline: exactly one thread (the owner) calls
 //! [`StealDeque::push`] / [`StealDeque::pop`]; any thread may call
 //! [`StealDeque::steal`]. The discipline is a *performance* contract, not a
 //! safety one — every slot access is atomic, so even a misuse cannot tear —
 //! but the single-owner invariant is what makes the last-element race the
-//! only race, and the executor upholds it by construction (deque `w`
-//! belongs to worker `w`; the coordinator routes cross-thread work through
-//! the pool's overflow queue instead).
+//! only race (the service upholds it by pushing only under its state
+//! lock). The owner may also `steal` from its own deque: the thread that
+//! pushed a token is often the one that takes it from the FIFO end.
 
 // Atomics come from the sync facade so the bounded model checker can
 // instrument them under `--cfg aiac_check` (enforced by `cargo xtask
@@ -56,7 +50,7 @@ use crate::runtime::sync::{AtomicIsize, AtomicUsize, Ordering::SeqCst};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// The deque already holds `capacity` entries; the caller must route the
-    /// item elsewhere (the executor's overflow queue).
+    /// item elsewhere or retry once a taker has made room.
     Full,
 }
 
@@ -72,7 +66,7 @@ pub enum Steal {
     Success(usize),
 }
 
-/// A bounded lock-free work-stealing deque of block indices.
+/// A bounded lock-free work-stealing deque of `usize` tokens.
 ///
 /// Owner end: [`push`](Self::push) / [`pop`](Self::pop) (LIFO). Thief end:
 /// [`steal`](Self::steal) (FIFO). See the module docs for the discipline.
@@ -271,14 +265,14 @@ mod tests {
         }
     }
 
-    /// The threaded executor's fairness valve has the owner take from its
-    /// *own* deque's FIFO end — an owner-side `steal`, legal Chase–Lev usage
-    /// — every `FAIRNESS_INTERVAL`-th lap. Deterministic two-thread version
+    /// The owner may take from its *own* deque's FIFO end — an owner-side
+    /// `steal`, legal Chase–Lev usage, and what a service worker does when
+    /// it refills the deque and then steals. Deterministic two-thread version
     /// of the model-checked harness (`crates/check/tests/deque_model.rs`),
     /// small enough for Miri's weak-memory exploration: owner-steal,
     /// thief-steal, and owner-pop must hand out every element exactly once.
     #[test]
-    fn fairness_valve_owner_side_steal_vs_thief() {
+    fn owner_side_steal_vs_thief() {
         for _round in 0..8 {
             let dq = Arc::new(StealDeque::new(4));
             for i in 0..3 {
@@ -297,11 +291,11 @@ mod tests {
                 })
             };
             let mut kept = Vec::new();
-            // Valve lap: drain the own FIFO end, like `stealing_worker`.
+            // The owner takes from its own FIFO end.
             if let Steal::Success(v) = dq.steal() {
                 kept.push(v);
             }
-            // Ordinary laps: LIFO pops.
+            // Then LIFO pops.
             while let Some(v) = dq.pop() {
                 kept.push(v);
             }

@@ -97,9 +97,6 @@ impl SequentialRuntime {
             peak_mailbox_occupancy: 0,
             payload_clones: blocks.iter().map(|b| b.payload_clones).sum(),
             bytes_copied: blocks.iter().map(|b| b.bytes_copied).sum(),
-            steals: 0,
-            failed_steal_attempts: 0,
-            local_pushes: 0,
             queue_wait_events: 0,
             cpu_queue_secs: 0.0,
             converged,

@@ -455,9 +455,6 @@ impl SimulatedRuntime {
             peak_mailbox_occupancy: 0,
             payload_clones: states.iter().map(|s| s.payload_clones).sum(),
             bytes_copied: states.iter().map(|s| s.bytes_copied).sum(),
-            steals: 0,
-            failed_steal_attempts: 0,
-            local_pushes: 0,
             queue_wait_events: 0,
             cpu_queue_secs: cpu.total_queue_secs(),
             converged,
@@ -560,9 +557,6 @@ impl SimulatedRuntime {
             peak_mailbox_occupancy: 0,
             payload_clones: engine.procs.iter().map(|p| p.state.payload_clones).sum(),
             bytes_copied: engine.procs.iter().map(|p| p.state.bytes_copied).sum(),
-            steals: 0,
-            failed_steal_attempts: 0,
-            local_pushes: 0,
             queue_wait_events: 0,
             cpu_queue_secs,
             converged: decided && !premature,

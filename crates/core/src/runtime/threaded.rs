@@ -1,28 +1,19 @@
 //! The threaded runtime: a fixed-size worker pool multiplexing all blocks.
 //!
 //! This back-end is the library's "production" executor on a multicore
-//! machine. Earlier revisions mapped every block to its own OS thread and
-//! shipped every iterate through unbounded channels; past a few hundred
-//! blocks that collapses twice over — the machine drowns in oversubscribed
-//! threads, and a fast producer floods a slow consumer's queue with stale
-//! payloads the drain loop immediately overwrites, so memory grows without
-//! bound. The executor now follows the asynchronous many-tasking recipe
-//! instead:
+//! machine. A thread per block and a channel per edge collapse past a few
+//! hundred blocks (oversubscribed threads, unbounded queues of stale
+//! payloads), so the executor follows the asynchronous many-tasking recipe:
 //!
-//! * **Work-stealing worker pool** — `RunConfig::num_workers` OS threads
-//!   (default: the machine's available parallelism, never more than the
-//!   block count) multiplex the `m` blocks as lightweight tasks. Each worker
-//!   owns a bounded Chase–Lev-style deque ([`super::deque::StealDeque`]):
-//!   the owner pushes and pops in LIFO order (newest work is cache-hottest)
-//!   while idle workers steal from randomized victims at the FIFO end,
-//!   spinning through an exponential backoff before *parking* on a condition
-//!   variable. A shared FIFO injector carries cross-thread work (the initial
-//!   broadcast, the stop/drain broadcasts, deque-overflow spill) — and under
-//!   [`crate::config::StealPolicy::SharedFifo`] *all* work, reproducing the
-//!   pre-work-stealing scheduler as a comparison baseline. When
-//!   `RunConfig::locality_bias` is set, a publish pushes the ready
-//!   dependants onto the publishing worker's own deque, so the freshly
-//!   produced payload is consumed where it is still cache-hot.
+//! * **Worker pool over one shared FIFO queue** — `RunConfig::num_workers`
+//!   OS threads (default: the machine's available parallelism, never more
+//!   than the block count) multiplex the `m` blocks as lightweight tasks.
+//!   Every ready block goes to the back of one `Mutex<VecDeque>` and every
+//!   worker takes from its front; a worker that finds the queue empty
+//!   *parks* on a condition variable. FIFO order is what the algorithm
+//!   wants, not a compromise: a block runs again only after every block
+//!   queued before it has run, so its dependencies have had the chance to
+//!   publish and it does not repeat an iteration on the same inputs.
 //! * **Coalescing mailboxes** — block data travels through
 //!   [`super::mailbox::CoalescingMailboxes`]: one newest-wins slot per
 //!   dependency edge, so in-flight data storage is O(edges) regardless of how
@@ -50,13 +41,12 @@
 //!   next publish from one of its dependencies (or by the stop broadcast).
 
 use crate::block::BlockState;
-use crate::config::{ExecutionMode, RunConfig, StealPolicy};
+use crate::config::{ExecutionMode, RunConfig};
 use crate::convergence::{GlobalDetector, LocalConvergence};
 use crate::depgraph::DependencyGraph;
 use crate::kernel::IterativeKernel;
 use crate::message::Message;
 use crate::report::{RunError, RunReport};
-use crate::runtime::deque::{Steal, StealDeque};
 use crate::runtime::mailbox::{CoalescingMailboxes, MailboxStats};
 // Atomics come from the sync facade so the bounded model checker can
 // instrument them under `--cfg aiac_check` (enforced by `cargo xtask
@@ -67,26 +57,6 @@ use crossbeam::channel::{unbounded, Sender};
 use std::collections::VecDeque;
 use std::sync::{Barrier, Condvar, Mutex};
 use std::time::Instant;
-
-/// Number of randomized victim sweeps an idle worker runs before parking.
-const STEAL_ROUNDS: u32 = 4;
-/// Spin iterations after the first failed sweep; doubles every round.
-const SPIN_BASE: u32 = 32;
-/// Every this-many acquisition laps a stealing worker checks the shared
-/// injector *before* its own deque (the same fairness valve as tokio's
-/// global-queue interval): demoted and overflow work is guaranteed to
-/// circulate even while the worker's own LIFO top stays productive.
-const FAIRNESS_INTERVAL: u32 = 17;
-
-/// The splitmix64 generator: cheap, seedable, and good enough for victim
-/// selection (the same generator the test-suite uses for pause schedules).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What a worker tells the coordinator.
 enum CoordEvent {
@@ -105,44 +75,20 @@ struct BlockOutcome {
     bytes_copied: u64,
 }
 
-/// Scheduling counters of one asynchronous run. All four stay zero for the
-/// synchronous mode (its static partition never touches the pool) and the
-/// first three are structurally zero under [`StealPolicy::SharedFifo`].
-#[derive(Debug, Default, Clone, Copy)]
-struct SchedCounters {
-    steals: u64,
-    failed_steal_attempts: u64,
-    local_pushes: u64,
-    queue_wait_events: u64,
-}
-
-/// The work-stealing run queue blocks are scheduled on.
+/// The run queue blocks are scheduled on: one shared FIFO.
 ///
-/// Each block is queued at most once anywhere (the `queued` bits), which
-/// bounds every per-worker deque at `num_blocks` entries — so the deques are
-/// allocated once at that capacity and never grow. Ready blocks travel one
-/// of two routes: onto the enqueuing worker's own deque (the owner-push /
-/// locality path), or through the shared FIFO `injector` (coordinator
-/// broadcasts, deque-overflow spill, and everything under
-/// [`StealPolicy::SharedFifo`]). Workers with nothing to pop, drain or steal
-/// park on the condition variable; the `pending`/`sleepers` pair implements
-/// the Dekker-style handshake that makes the park race-free without any
-/// timeout sleep.
+/// Each block is queued at most once (the `queued` bits), which bounds the
+/// queue at `num_blocks` entries — so it is allocated once at that capacity
+/// and never grows. Workers that find it empty park on the condition
+/// variable; the `pending`/`sleepers` pair implements the Dekker-style
+/// handshake that makes the park race-free without any timeout sleep.
 struct WorkPool {
-    /// One owner deque per worker (empty under [`StealPolicy::SharedFifo`]).
-    deques: Vec<StealDeque>,
-    /// Shared FIFO overflow and cross-thread queue.
-    injector: Mutex<VecDeque<usize>>,
+    /// The shared FIFO of ready blocks.
+    queue: Mutex<VecDeque<usize>>,
     /// The at-most-once-queued bit per block.
     queued: Vec<AtomicBool>,
-    /// Blocks queued (anywhere) and not yet taken by a worker.
+    /// Blocks queued and not yet taken by a worker.
     pending: AtomicUsize,
-    /// Count of enqueue events. A stealing worker whose whole acquisition
-    /// lap came up empty parks until this moves — unlike `pending`, which
-    /// stays positive while the only queued work sits on another worker's
-    /// deque and keeps a pool of idle thieves busy-looping (ruinous when
-    /// the workers oversubscribe the machine's cores).
-    epoch: AtomicUsize,
     /// Workers currently inside [`WorkPool::park_idle`].
     sleepers: AtomicUsize,
     /// The parking lot. The mutex guards no data — it only sequences the
@@ -150,71 +96,43 @@ struct WorkPool {
     park: Mutex<()>,
     ready: Condvar,
     closed: AtomicBool,
-    /// True when the pool runs more workers than the machine has cores. A
-    /// spin-wait then burns the timeslice the worker holding the work needs,
-    /// so backoff yields to the OS scheduler instead of spinning.
-    oversubscribed: bool,
-    steals: AtomicU64,
-    failed_steal_attempts: AtomicU64,
-    local_pushes: AtomicU64,
+    /// Times a worker found the queue empty and parked.
     queue_wait_events: AtomicU64,
 }
 
 impl WorkPool {
-    fn new(num_blocks: usize, workers: usize, policy: StealPolicy) -> Self {
-        let deques = match policy {
-            StealPolicy::WorkStealing => {
-                (0..workers).map(|_| StealDeque::new(num_blocks)).collect()
-            }
-            StealPolicy::SharedFifo => Vec::new(),
-        };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    fn new(num_blocks: usize) -> Self {
         Self {
-            deques,
-            injector: Mutex::new(VecDeque::with_capacity(num_blocks)),
+            queue: Mutex::new(VecDeque::with_capacity(num_blocks)),
             queued: (0..num_blocks).map(|_| AtomicBool::new(false)).collect(),
             pending: AtomicUsize::new(0),
-            epoch: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
             park: Mutex::new(()),
             ready: Condvar::new(),
             closed: AtomicBool::new(false),
-            oversubscribed: workers > cores,
-            steals: AtomicU64::new(0),
-            failed_steal_attempts: AtomicU64::new(0),
-            local_pushes: AtomicU64::new(0),
             queue_wait_events: AtomicU64::new(0),
         }
     }
 
-    /// Schedules `block` unless it is already queued. With `local = Some(w)`
-    /// it goes onto worker `w`'s deque — valid only from worker `w` itself
-    /// (the deques' single-owner push discipline) or before the pool's
-    /// threads spawn — falling back to the injector when that deque is full;
-    /// with `local = None` it goes straight onto the injector. Returns
-    /// whether the block landed on the local deque.
-    fn enqueue(&self, block: usize, local: Option<usize>) -> bool {
-        // ord: SeqCst — queued-bit claim totally ordered with the pending/epoch bumps and the park-side re-checks (Dekker handshake with sleepers)
+    /// Schedules `block` at the back of the queue unless already queued.
+    fn enqueue(&self, block: usize) {
+        // ord: SeqCst — queued-bit claim totally ordered with the pending bump and the park-side re-checks (Dekker handshake with sleepers)
         if self.closed.load(Ordering::SeqCst) || self.queued[block].swap(true, Ordering::SeqCst) {
-            return false;
+            return;
         }
-        let placed_local = match local {
-            Some(w) => self.deques[w].push(block).is_ok(),
-            None => false,
-        };
-        if !placed_local {
-            self.injector.lock().unwrap().push_back(block);
-        }
+        self.queue.lock().unwrap().push_back(block);
         // ord: SeqCst — pending bump must be visible before any parked worker re-checks emptiness
         self.pending.fetch_add(1, Ordering::SeqCst);
-        // ord: SeqCst — epoch bump publishes the new work to epoch-parked sleepers
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.wake(false);
-        placed_local
+        // The publisher half of the parking handshake (see `park_idle`).
+        // ord: SeqCst — wake fast path reads the sleeper count the parkers bumped
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _lot = self.park.lock().unwrap();
+            self.ready.notify_one();
+        }
     }
 
-    /// Schedules every not-yet-queued block onto the injector (the
-    /// stop/drain broadcast) and wakes all workers.
+    /// Schedules every not-yet-queued block (the stop/drain broadcast) and
+    /// wakes all workers.
     fn enqueue_all(&self) {
         // ord: SeqCst — closed gate ordered with the shutdown broadcast
         if self.closed.load(Ordering::SeqCst) {
@@ -222,11 +140,11 @@ impl WorkPool {
         }
         let mut added = 0usize;
         {
-            let mut injector = self.injector.lock().unwrap();
+            let mut queue = self.queue.lock().unwrap();
             for block in 0..self.queued.len() {
                 // ord: SeqCst — queued-bit claim, same protocol as enqueue()
                 if !self.queued[block].swap(true, Ordering::SeqCst) {
-                    injector.push_back(block);
+                    queue.push_back(block);
                     added += 1;
                 }
             }
@@ -234,8 +152,6 @@ impl WorkPool {
         if added > 0 {
             // ord: SeqCst — pending visible before parked workers re-check
             self.pending.fetch_add(added, Ordering::SeqCst);
-            // ord: SeqCst — epoch bump publishes the injected batch
-            self.epoch.fetch_add(1, Ordering::SeqCst);
         }
         // Always wake everyone: even with nothing new queued, parked workers
         // must re-observe the stop/drain flags that prompted the broadcast.
@@ -243,7 +159,7 @@ impl WorkPool {
         self.ready.notify_all();
     }
 
-    /// Bookkeeping for a block just taken off any queue: clears its queued
+    /// Bookkeeping for a block just taken off the queue: clears its queued
     /// bit (so the next publish can re-schedule it) and drops the pending
     /// count. Must run *before* the block's mailboxes are drained, so a
     /// publish that raced the take either re-queues the block or its payload
@@ -255,79 +171,8 @@ impl WorkPool {
         self.pending.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn pop_injector(&self) -> Option<usize> {
-        self.injector.lock().unwrap().pop_front()
-    }
-
-    /// One randomized sweep over the other workers' deques. Returns the
-    /// stolen block plus whether any victim was contended (a lost claiming
-    /// race, as opposed to simply empty).
-    fn steal_sweep(&self, worker: usize, rng: &mut u64) -> (Option<usize>, bool) {
-        let n = self.deques.len();
-        if n <= 1 {
-            return (None, false);
-        }
-        let mut saw_contention = false;
-        for _ in 0..n - 1 {
-            let victim = (worker + 1 + (splitmix64(rng) as usize) % (n - 1)) % n;
-            match self.deques[victim].steal() {
-                Steal::Success(block) => {
-                    // ord: stat counter — steal telemetry, read at quiescence
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return (Some(block), saw_contention);
-                }
-                Steal::Retry => {
-                    saw_contention = true;
-                    // ord: stat counter — failed-steal telemetry
-                    self.failed_steal_attempts.fetch_add(1, Ordering::Relaxed);
-                }
-                Steal::Empty => {
-                    // ord: stat counter — failed-steal telemetry
-                    self.failed_steal_attempts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        (None, saw_contention)
-    }
-
-    /// Randomized-victim stealing with exponential backoff: up to
-    /// [`STEAL_ROUNDS`] sweeps over random victims, backing off
-    /// `SPIN_BASE << round` spin iterations between sweeps — or a plain OS
-    /// yield when the pool is oversubscribed, where a spin would burn the
-    /// timeslice of whichever worker actually holds the work. Gives up
-    /// early when the pool closes or nothing is pending anywhere (parking
-    /// beats spinning on an empty pool).
-    fn steal_with_backoff(&self, worker: usize, rng: &mut u64) -> Option<usize> {
-        if self.deques.len() <= 1 {
-            return None;
-        }
-        for round in 0..STEAL_ROUNDS {
-            let (stolen, saw_contention) = self.steal_sweep(worker, rng);
-            if stolen.is_some() {
-                return stolen;
-            }
-            // Back off and retry only while a victim was contended: an
-            // all-empty sweep means the remaining work (if any) sits on the
-            // injector, which the caller checks next — spinning here would
-            // just delay it.
-            if !saw_contention
-                // ord: SeqCst — closed re-check inside the bounded backoff loop
-                || self.closed.load(Ordering::SeqCst)
-                // ord: SeqCst — pending re-check pairs with enqueue's SeqCst bump
-                || self.pending.load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            if self.oversubscribed {
-                std::thread::yield_now();
-            } else {
-                for _ in 0..(SPIN_BASE << round) {
-                    // spin: bounded backoff — at most SPIN_BASE << round iterations, with round capped by the caller; never an unbounded wait
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        None
+    fn pop(&self) -> Option<usize> {
+        self.queue.lock().unwrap().pop_front()
     }
 
     /// Parks the calling worker until work is pending or the pool closes.
@@ -340,11 +185,9 @@ impl WorkPool {
     /// sees the sleeper and notifies, or the parker sees the pending work
     /// and never waits — so no timeout sleep is needed, and the stop
     /// broadcast (`closed` in the wait predicate) is observed promptly.
-    fn park_idle(&self, count: bool) {
-        if count {
-            // ord: stat counter — park-event telemetry
-            self.queue_wait_events.fetch_add(1, Ordering::Relaxed);
-        }
+    fn park_idle(&self) {
+        // ord: stat counter — park-event telemetry
+        self.queue_wait_events.fetch_add(1, Ordering::Relaxed);
         // ord: SeqCst — sleeper registration before the final emptiness re-check (Dekker: enqueue reads sleepers after its pending bump)
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut lot = self.park.lock().unwrap();
@@ -355,48 +198,6 @@ impl WorkPool {
         drop(lot);
         // ord: SeqCst — sleeper deregistration
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks the calling worker until an enqueue has happened after the
-    /// caller read `seen` from [`WorkPool::epoch`], or the pool closes.
-    ///
-    /// The stealing workers' variant of [`WorkPool::park_idle`]: a thief
-    /// whose pop, sweep and injector checks all failed has proven that none
-    /// of the work counted by `pending` is available *to it* right now, so
-    /// waiting for `pending == 0` would busy-loop. Waiting for the epoch to
-    /// move instead puts it to sleep until the next enqueue — every take
-    /// path it just tried is fed by one, and each enqueue bumps the epoch
-    /// before the notify, so the same Dekker argument rules out lost
-    /// wakeups.
-    fn park_until_enqueue(&self, seen: usize, count: bool) {
-        if count {
-            // ord: stat counter — park-event telemetry
-            self.queue_wait_events.fetch_add(1, Ordering::Relaxed);
-        }
-        // ord: SeqCst — sleeper registration before the epoch re-check
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut lot = self.park.lock().unwrap();
-        // ord: SeqCst — closed/epoch re-check under the park mutex
-        while !self.closed.load(Ordering::SeqCst) && self.epoch.load(Ordering::SeqCst) == seen {
-            lot = self.ready.wait(lot).unwrap();
-        }
-        drop(lot);
-        // ord: SeqCst — sleeper deregistration
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// The publisher half of the parking handshake (see
-    /// [`WorkPool::park_idle`]); `all` broadcasts instead of waking one.
-    fn wake(&self, all: bool) {
-        // ord: SeqCst — wake fast path reads the sleeper count the parkers bumped
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _lot = self.park.lock().unwrap();
-            if all {
-                self.ready.notify_all();
-            } else {
-                self.ready.notify_one();
-            }
-        }
     }
 
     fn is_closed(&self) -> bool {
@@ -412,17 +213,9 @@ impl WorkPool {
         self.ready.notify_all();
     }
 
-    fn counters(&self) -> SchedCounters {
-        SchedCounters {
-            // ord: SeqCst — quiescent snapshot for the stats report
-            steals: self.steals.load(Ordering::SeqCst),
-            // ord: SeqCst — quiescent snapshot
-            failed_steal_attempts: self.failed_steal_attempts.load(Ordering::SeqCst),
-            // ord: SeqCst — quiescent snapshot
-            local_pushes: self.local_pushes.load(Ordering::SeqCst),
-            // ord: SeqCst — quiescent snapshot
-            queue_wait_events: self.queue_wait_events.load(Ordering::SeqCst),
-        }
+    fn queue_wait_events(&self) -> u64 {
+        // ord: SeqCst — quiescent snapshot for the stats report
+        self.queue_wait_events.load(Ordering::SeqCst)
     }
 }
 
@@ -570,10 +363,10 @@ impl ThreadedRuntime {
             data_bytes.load(Ordering::SeqCst),
             converged,
             mailboxes.stats(),
-            // The static partition never touches the work-stealing pool, so
-            // the scheduler counters are structural zeros — which is what
-            // makes them deterministic, gateable metrics for sync cells.
-            SchedCounters::default(),
+            // The static partition never touches the run queue, so its park
+            // count is a structural zero — which is what makes it a
+            // deterministic, gateable metric for sync cells.
+            0,
         )
     }
 
@@ -593,7 +386,7 @@ impl ThreadedRuntime {
             config,
             graph: &graph,
             mailboxes: CoalescingMailboxes::new(&graph),
-            sched: WorkPool::new(m, workers, config.steal_policy),
+            sched: WorkPool::new(m),
             tasks: (0..m)
                 .map(|b| {
                     Mutex::new(AsyncTask {
@@ -612,17 +405,8 @@ impl ThreadedRuntime {
             data_bytes: AtomicU64::new(0),
         };
         // Every block starts runnable ("only the first iteration begins at
-        // the same time on all the processors"). Under work-stealing the
-        // initial blocks are dealt round-robin across the worker deques —
-        // safe before the threads spawn — so the pool starts balanced and
-        // the first steals target already-loaded victims.
-        for block in 0..m {
-            let local = match config.steal_policy {
-                StealPolicy::WorkStealing => Some(block % workers),
-                StealPolicy::SharedFifo => None,
-            };
-            pool.sched.enqueue(block, local);
-        }
+        // the same time on all the processors").
+        pool.sched.enqueue_all();
 
         let (coord_tx, coord_rx) = unbounded::<CoordEvent>();
         let mut detector = GlobalDetector::new(m);
@@ -634,12 +418,7 @@ impl ThreadedRuntime {
                 let coord_tx = coord_tx.clone();
                 scope.spawn(move |_| {
                     let _guard = PanicGuard(&pool.sched);
-                    match config.steal_policy {
-                        StealPolicy::WorkStealing => {
-                            stealing_worker(pool, worker, &coord_tx, tracer)
-                        }
-                        StealPolicy::SharedFifo => fifo_worker(pool, worker, &coord_tx, tracer),
-                    }
+                    async_worker(pool, worker, &coord_tx, tracer);
                 });
             }
             drop(coord_tx);
@@ -667,7 +446,7 @@ impl ThreadedRuntime {
         .expect("an asynchronous worker thread panicked");
 
         let stats = pool.mailboxes.stats();
-        let sched_counters = pool.sched.counters();
+        let queue_wait_events = pool.sched.queue_wait_events();
         finalize_report(
             kernel,
             ExecutionMode::Asynchronous,
@@ -685,7 +464,7 @@ impl ThreadedRuntime {
             pool.data_bytes.load(Ordering::SeqCst),
             detector.is_decided(),
             stats,
-            sched_counters,
+            queue_wait_events,
         )
     }
 }
@@ -699,16 +478,10 @@ struct AsyncTask {
     done: bool,
 }
 
-/// One work-stealing worker: drain the own deque (LIFO), then run one
-/// randomized steal sweep (lock-free, and the victim's FIFO end is the work
-/// with the least locality left to lose), then fall back to the
-/// mutex-guarded injector, then retry contended victims with exponential
-/// backoff, and finally park. Every
-/// [`FAIRNESS_INTERVAL`]-th lap the order inverts and the injector is polled
-/// first, so demoted work cannot starve behind a productive LIFO top. The
-/// `closed` check at the top of every lap is what makes the stop broadcast
-/// prompt even for a worker deep in steal backoff.
-fn stealing_worker(
+/// One asynchronous pool worker: take the block at the front of the shared
+/// queue and run one slice of it, or park until a block is queued or the
+/// pool closes.
+fn async_worker(
     pool: &AsyncPool<'_>,
     worker: usize,
     coord_tx: &Sender<CoordEvent>,
@@ -717,90 +490,13 @@ fn stealing_worker(
     // One allocation per worker *lifetime* for the track name; every event
     // on the track uses static names (enforced by `cargo xtask analyze` R8).
     let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
-    let mut rng = pool
-        .config
-        .seed
-        .wrapping_add(0xA076_1D64_78BD_642F)
-        .wrapping_mul(worker as u64 + 1);
-    let mut lap: u32 = 0;
     while !pool.sched.is_closed() {
-        // Read the enqueue epoch before probing any take path: if the whole
-        // lap fails, the worker parks until the epoch moves past this value,
-        // so an enqueue racing any probe below forces a re-probe instead of
-        // a sleep. (Parking on `pending == 0` instead would busy-loop: the
-        // pending work may all sit on another worker's deque, unavailable
-        // to this thief until its owner pops it or a future sweep wins it.)
-        // ord: SeqCst — epoch snapshot before the work re-check: a concurrent enqueue either shows up in the check or bumps past this value and cancels the park
-        let seen = pool.sched.epoch.load(Ordering::SeqCst);
-        // Fairness valve: periodically take from a FIFO end — the injector,
-        // or failing that the own deque's oldest entry (an owner-side
-        // `steal`, which is legal Chase-Lev usage) — so neither
-        // stale-demoted blocks nor the seeds at the bottom of the own deque
-        // can starve behind a hot LIFO top.
-        lap = lap.wrapping_add(1);
-        if lap.is_multiple_of(FAIRNESS_INTERVAL) {
-            let oldest =
-                pool.sched
-                    .pop_injector()
-                    .or_else(|| match pool.sched.deques[worker].steal() {
-                        Steal::Success(block) => Some(block),
-                        Steal::Empty | Steal::Retry => None,
-                    });
-            if let Some(block) = oldest {
-                pool.sched.took(block);
-                pool.process(block, Some(worker), coord_tx, &mut rec);
-                continue;
-            }
-        }
-        if let Some(block) = pool.sched.deques[worker].pop() {
+        if let Some(block) = pool.sched.pop() {
             pool.sched.took(block);
-            pool.process(block, Some(worker), coord_tx, &mut rec);
-        } else if let (Some(block), _) = pool.sched.steal_sweep(worker, &mut rng) {
-            // One cheap sweep only: when every victim is empty the work (if
-            // any) sits on the injector, and repeating the sweep with
-            // backoff here would tax the common injector-bound lap.
-            rec.instant("steal", block as u64);
-            pool.sched.took(block);
-            pool.process(block, Some(worker), coord_tx, &mut rec);
-        } else if let Some(block) = pool.sched.pop_injector() {
-            pool.sched.took(block);
-            pool.process(block, Some(worker), coord_tx, &mut rec);
-        } else if let Some(block) = pool.sched.steal_with_backoff(worker, &mut rng) {
-            // Nothing anywhere on the first pass: retry contended victims
-            // with backoff before paying for the condition variable.
-            rec.instant("steal", block as u64);
-            pool.sched.took(block);
-            pool.process(block, Some(worker), coord_tx, &mut rec);
-        } else {
-            // A worker never reaches this arm with a non-empty own deque
-            // (only it pushes there, and it popped above), so every block
-            // still queued is on the injector or another worker's deque —
-            // and any enqueue after `seen` was read wakes this park.
-            rec.instant("steal_miss", 0);
-            rec.span_begin("park", 0);
-            pool.sched.park_until_enqueue(seen, true);
-            rec.span_end("park", 0);
-        }
-    }
-}
-
-/// One shared-FIFO worker (the [`StealPolicy::SharedFifo`] baseline): every
-/// ready block comes off the injector, exactly like the pre-work-stealing
-/// scheduler. The steal counters stay structurally zero on this path.
-fn fifo_worker(
-    pool: &AsyncPool<'_>,
-    worker: usize,
-    coord_tx: &Sender<CoordEvent>,
-    tracer: &Tracer,
-) {
-    let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
-    while !pool.sched.is_closed() {
-        if let Some(block) = pool.sched.pop_injector() {
-            pool.sched.took(block);
-            pool.process(block, None, coord_tx, &mut rec);
+            pool.process(block, coord_tx, &mut rec);
         } else {
             rec.span_begin("park", 0);
-            pool.sched.park_idle(false);
+            pool.sched.park_idle();
             rec.span_end("park", 0);
         }
     }
@@ -831,18 +527,7 @@ struct AsyncPool<'a> {
 impl AsyncPool<'_> {
     /// Runs one scheduling slice of `block`: drain its mailboxes, iterate
     /// once, publish, and decide whether to requeue, park or finish.
-    ///
-    /// `worker` is the calling worker's deque index under work-stealing
-    /// (`None` on the shared-FIFO path): requeues of `block` itself are
-    /// owner-pushes onto that deque, and — when the locality bias is on —
-    /// so are the ready dependants of a publish.
-    fn process(
-        &self,
-        block: usize,
-        worker: Option<usize>,
-        coord_tx: &Sender<CoordEvent>,
-        rec: &mut TrackRecorder,
-    ) {
+    fn process(&self, block: usize, coord_tx: &Sender<CoordEvent>, rec: &mut TrackRecorder) {
         let mut task = self.tasks[block].lock().unwrap();
         if task.done {
             return;
@@ -911,29 +596,18 @@ impl AsyncPool<'_> {
             let _ = coord_tx.send(CoordEvent::StateChange { block, converged });
         }
 
-        // Publish the fresh values on every out-edge, waking the dependants —
-        // onto this worker's own deque when the locality bias is on, so the
-        // fresh payload is consumed where it is still cache-hot. An
-        // at-fixed-point update publishes nothing: the dependants already
+        // Publish the fresh values on every out-edge, waking the dependants.
+        // An at-fixed-point update publishes nothing: the dependants already
         // hold values indistinguishable at the ε scale, and re-sending them
         // only re-enqueues the neighbourhood. Without this gate two mutually
         // dependent blocks at a shared fixed point re-excite each other
-        // forever at the top of one worker's deque — a publish-storm
-        // livelock that the old shared queue merely throttled into
-        // round-robin order.
+        // forever — a publish storm that the FIFO order merely throttles
+        // into round-robin.
         let out_degree = self.graph.out_neighbours(block).len() as u64;
         if out_degree > 0 && !at_fixed_point {
-            let bias = if self.config.locality_bias {
-                worker
-            } else {
-                None
-            };
             self.mailboxes
                 .publish_from(block, task.state.iteration, &task.state.values, |dst| {
-                    if self.sched.enqueue(dst, bias) {
-                        // ord: stat counter — locality telemetry
-                        self.sched.local_pushes.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.sched.enqueue(dst);
                 });
             rec.instant("publish", block as u64);
             // ord: stat counter — message-count telemetry
@@ -952,16 +626,10 @@ impl AsyncPool<'_> {
         } else if task.local.is_converged() && !self.drain.load(Ordering::SeqCst) {
             // Dormant: stay off the run queue until a dependency publishes
             // fresh data or the stop/drain broadcast re-enqueues everything.
-            // This replaces the old executor's yield_now busy-spin.
         } else {
-            // Self-requeue: an owner push onto this worker's deque while
-            // fresh data keeps the block productive (the LIFO pop then runs
-            // it again while its inputs are cache-hot). A block iterating on
-            // stale data is demoted to the shared injector instead — quiet
-            // iterations do not advance the convergence streak, so letting
-            // it spin at the top of its owner's deque would starve the rest
-            // of the pool for no progress (pathological at one worker).
-            self.sched.enqueue(block, worker.filter(|_| fresh_data));
+            // Self-requeue at the back: every block queued ahead runs (and
+            // may publish to this one) before it iterates again.
+            self.sched.enqueue(block);
         }
     }
 
@@ -1105,7 +773,7 @@ fn finalize_report(
     data_bytes: u64,
     converged: bool,
     mailbox_stats: MailboxStats,
-    sched: SchedCounters,
+    queue_wait_events: u64,
 ) -> Result<RunReport, RunError> {
     let m = kernel.num_blocks();
     let missing: Vec<usize> = outcomes
@@ -1140,10 +808,7 @@ fn finalize_report(
         peak_mailbox_occupancy: mailbox_stats.peak_occupancy,
         payload_clones,
         bytes_copied,
-        steals: sched.steals,
-        failed_steal_attempts: sched.failed_steal_attempts,
-        local_pushes: sched.local_pushes,
-        queue_wait_events: sched.queue_wait_events,
+        queue_wait_events,
         cpu_queue_secs: 0.0,
         converged,
         premature_stop: false,
@@ -1158,6 +823,91 @@ mod tests {
     use crate::config::ConfigError;
     use crate::kernel::test_kernels::{Diverging, RingContraction};
     use crate::runtime::sequential::SequentialRuntime;
+
+    /// (blocks in the queue, blocks counted pending).
+    fn queued(pool: &WorkPool) -> (usize, usize) {
+        let pending = pool.pending.load(Ordering::SeqCst);
+        (pool.queue.lock().unwrap().len(), pending)
+    }
+
+    /// Runs `release` once `parkers` threads have registered in `park_idle`
+    /// and returns how many it released. A parker is then either waiting or
+    /// about to re-check `pending` / `closed` under the park lock; the
+    /// handshake must release it in both orders, so neither is forced. One
+    /// left behind is a short count after the timeout, not a hung test.
+    fn released_from_park(pool: &WorkPool, parkers: usize, release: impl FnOnce()) -> usize {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..parkers {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    pool.park_idle();
+                    let _ = tx.send(());
+                });
+            }
+            while pool.sleepers.load(Ordering::SeqCst) < parkers {
+                std::thread::yield_now();
+            }
+            release();
+            let released = (0..parkers)
+                .take_while(|_| rx.recv_timeout(std::time::Duration::from_secs(20)).is_ok())
+                .count();
+            // Unblocks the scope join when the assertion is about to fail.
+            pool.close();
+            released
+        })
+    }
+
+    #[test]
+    fn a_block_is_queued_at_most_once_until_it_is_taken() {
+        let pool = WorkPool::new(4);
+        pool.enqueue(3);
+        pool.enqueue(3);
+        assert_eq!(queued(&pool), (1, 1));
+        // The broadcast skips the block that is already queued.
+        pool.enqueue_all();
+        pool.enqueue_all();
+        assert_eq!(queued(&pool), (4, 4));
+        assert_eq!(pool.pop(), Some(3), "FIFO: the first block queued");
+        // Popped but not yet `took`: the queued bit still blocks a re-queue.
+        pool.enqueue(3);
+        assert_eq!(queued(&pool), (3, 4));
+    }
+
+    #[test]
+    fn a_publish_racing_took_requeues_the_block() {
+        // A publish that lands before `took` is dropped by the queued bit
+        // (the worker drains the mailbox after `took`, so it sees the
+        // payload); one that lands after `took` must queue the block again.
+        let pool = WorkPool::new(2);
+        pool.enqueue(1);
+        assert_eq!(pool.pop(), Some(1));
+        pool.enqueue(1);
+        assert_eq!(queued(&pool), (0, 1));
+        pool.took(1);
+        assert_eq!(queued(&pool), (0, 0));
+        pool.enqueue(1);
+        assert_eq!(queued(&pool), (1, 1));
+    }
+
+    #[test]
+    fn enqueue_all_wakes_every_parked_worker() {
+        // One `enqueue` wakes one sleeper; the broadcast must wake them all.
+        let pool = WorkPool::new(3);
+        assert_eq!(released_from_park(&pool, 3, || pool.enqueue_all()), 3);
+        assert_eq!(pool.queue_wait_events(), 3, "every park is counted");
+    }
+
+    #[test]
+    fn close_releases_every_parked_worker_without_a_timeout() {
+        let pool = WorkPool::new(2);
+        assert_eq!(released_from_park(&pool, 4, || pool.close()), 4);
+        assert_eq!(pool.queue_wait_events(), 4);
+        // A closed pool accepts no more work.
+        pool.enqueue(0);
+        pool.enqueue_all();
+        assert_eq!(queued(&pool), (0, 0));
+    }
 
     #[test]
     fn synchronous_threaded_matches_sequential_exactly() {
@@ -1333,7 +1083,7 @@ mod tests {
             0,
             false,
             MailboxStats::default(),
-            SchedCounters::default(),
+            0,
         )
         .unwrap_err();
         assert_eq!(
@@ -1346,77 +1096,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_fifo_policy_converges_with_structurally_zero_steal_counters() {
-        let kernel = RingContraction::new(8);
-        let config = RunConfig::asynchronous(1e-10)
-            .with_streak(4)
-            .with_num_workers(3)
-            .with_steal_policy(StealPolicy::SharedFifo);
-        let report = ThreadedRuntime::new().run(&kernel, &config);
-        assert!(report.converged);
-        let fp = kernel.fixed_point();
-        for v in &report.solution {
-            assert!((v - fp).abs() < 1e-6, "value {v} vs fixed point {fp}");
-        }
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.failed_steal_attempts, 0);
-        assert_eq!(report.local_pushes, 0);
-        assert_eq!(report.queue_wait_events, 0);
-    }
-
-    #[test]
-    fn synchronous_mode_reports_structurally_zero_scheduler_counters() {
+    fn synchronous_mode_reports_a_structurally_zero_park_count() {
         let kernel = RingContraction::new(6);
         let config = RunConfig::synchronous(1e-10).with_num_workers(3);
         let report = ThreadedRuntime::new().run(&kernel, &config);
         assert!(report.converged);
         assert_eq!(
-            (
-                report.steals,
-                report.failed_steal_attempts,
-                report.local_pushes,
-                report.queue_wait_events
-            ),
-            (0, 0, 0, 0),
-            "the static sync partition must never touch the stealing pool"
-        );
-    }
-
-    #[test]
-    fn locality_bias_produces_local_pushes_on_an_oversubscribed_pool() {
-        // 32 blocks over 2 workers with the bias on: publishes push ready
-        // ring neighbours onto the publisher's own deque, so at least one
-        // local push must be observed on any schedule (every block publishes
-        // to two neighbours every iteration, and only two workers exist to
-        // have them already queued elsewhere).
-        let kernel = RingContraction::new(32);
-        let config = RunConfig::asynchronous(1e-10)
-            .with_streak(3)
-            .with_num_workers(2);
-        let report = ThreadedRuntime::new().run(&kernel, &config);
-        assert!(report.converged);
-        assert!(
-            report.local_pushes > 0,
-            "a biased oversubscribed run must place some dependants locally"
-        );
-    }
-
-    #[test]
-    fn disabling_the_locality_bias_still_converges() {
-        let kernel = RingContraction::new(12);
-        let config = RunConfig::asynchronous(1e-10)
-            .with_streak(4)
-            .with_num_workers(3)
-            .with_locality_bias(false);
-        let report = ThreadedRuntime::new().run(&kernel, &config);
-        assert!(report.converged);
-        let fp = kernel.fixed_point();
-        for v in &report.solution {
-            assert!((v - fp).abs() < 1e-6, "value {v} vs fixed point {fp}");
-        }
-        assert_eq!(
-            report.local_pushes, 0,
-            "without the bias no dependant may be pushed locally"
+            report.queue_wait_events, 0,
+            "the static sync partition must never touch the run queue"
         );
     }
 
@@ -1443,10 +1130,10 @@ mod tests {
     }
 
     #[test]
-    fn stop_broadcast_releases_workers_parked_in_the_steal_path() {
+    fn stop_broadcast_releases_workers_parked_on_the_empty_queue() {
         // More workers than runnable work: most of the pool spends the run
-        // parked behind failed steals. The stop broadcast must wake every
-        // one of them or the scope join hangs.
+        // parked on the empty queue. The stop broadcast must wake every one
+        // of them or the scope join hangs.
         let kernel = RingContraction::new(8);
         let config = RunConfig::asynchronous(1e-10)
             .with_streak(6)
@@ -1456,7 +1143,7 @@ mod tests {
         assert!(report.converged);
         assert!(
             started.elapsed().as_secs() < 30,
-            "parked stealers must observe the stop broadcast, took {:?}",
+            "parked workers must observe the stop broadcast, took {:?}",
             started.elapsed()
         );
     }
@@ -1508,22 +1195,5 @@ mod tests {
         let (report, snap) = ThreadedRuntime::new().run_traced(&kernel, &config);
         assert!(report.converged);
         assert!(snap.is_empty());
-    }
-
-    #[test]
-    fn steal_policies_agree_on_the_solution() {
-        let kernel = RingContraction::new(16);
-        let fp = kernel.fixed_point();
-        for policy in StealPolicy::ALL {
-            let config = RunConfig::asynchronous(1e-10)
-                .with_streak(4)
-                .with_num_workers(4)
-                .with_steal_policy(policy);
-            let report = ThreadedRuntime::new().run(&kernel, &config);
-            assert!(report.converged, "{policy}");
-            for v in &report.solution {
-                assert!((v - fp).abs() < 1e-6, "{policy}: value {v} vs {fp}");
-            }
-        }
     }
 }

@@ -145,7 +145,7 @@ impl EnvProfile {
     /// events per worker (one superstep span per iteration), the
     /// asynchronous grid environments emit more (sends and arrivals are
     /// decoupled from iterations), and the shared-memory profile — whose
-    /// workers also trace steals, parks and mailbox publishes — emits the
+    /// workers also trace parks and mailbox takes and publishes — emits the
     /// most. Plain numbers only: consumers build their own `TraceConfig`
     /// from these, so this crate needs no edge to the observability crate.
     pub fn trace_knobs(self) -> TraceKnobs {

@@ -1,8 +1,8 @@
 //! The real service: OS-thread workers over the shared steal deque.
 //!
 //! [`SolverService::start`] spawns a pool of workers that steal job tokens
-//! from one shared [`StealDeque`] — the same lock-free structure the
-//! threaded data plane uses. Admission and the DRR dispatcher live behind
+//! from one shared [`StealDeque`], `aiac-core`'s bounded lock-free deque.
+//! Admission and the DRR dispatcher live behind
 //! a single mutex; the deque crossing is the only hand-off between the
 //! dispatcher and the pool. Every job carries a
 //! [`CancelToken`], so callers can abort

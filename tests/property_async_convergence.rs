@@ -2,7 +2,7 @@
 //! problems, the asynchronous runtimes must converge to the same fixed point
 //! as the sequential reference, and the simulator must stay deterministic.
 
-use aiac::core::config::{RunConfig, StealPolicy};
+use aiac::core::config::RunConfig;
 use aiac::core::depgraph::DependencyGraph;
 use aiac::core::kernel::{BlockUpdate, DependencyView, IterativeKernel};
 use aiac::core::runtime::sequential::SequentialRuntime;
@@ -117,9 +117,8 @@ impl IterativeKernel for RandomRing {
 /// the update stalls and for how long. This emulates the paper's
 /// heterogeneous processors — some blocks compute slower in some iterations —
 /// and drives the worker pool through interleavings a uniform-cost kernel
-/// never exercises (stalled owners whose deques must be stolen from, late
-/// publishes racing the convergence detector, parked thieves woken by a
-/// slow block's requeue).
+/// never exercises (late publishes racing the convergence detector, parked
+/// workers woken by a slow block's requeue).
 struct PausedRing {
     inner: RandomRing,
     schedule_seed: u64,
@@ -174,6 +173,33 @@ impl IterativeKernel for PausedRing {
         self.pause(block);
         self.inner.update_block(block, local, others)
     }
+}
+
+/// With one worker there are no races, so the order blocks run in is the
+/// scheduler's alone: FIFO runs every other block between two iterations of
+/// the same one, which makes the asynchronous run a Gauss–Seidel-like sweep
+/// that needs no more block iterations than the synchronous Jacobi sweep. A
+/// scheduler that re-runs the newest block on unchanged inputs does not.
+#[test]
+fn single_worker_async_does_not_repeat_work() {
+    let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
+    let runtime = ThreadedRuntime::new();
+    let sync = runtime.run(&problem, &RunConfig::synchronous(1e-7).with_num_workers(1));
+    let asynchronous = runtime.run(
+        &problem,
+        &RunConfig::asynchronous(1e-7)
+            .with_streak(3)
+            .with_num_workers(1),
+    );
+    assert!(sync.converged && asynchronous.converged);
+    let (sync_iters, async_iters): (u64, u64) = (
+        sync.iterations.iter().sum(),
+        asynchronous.iterations.iter().sum(),
+    );
+    assert!(
+        async_iters <= sync_iters,
+        "asynchronous run took {async_iters} block iterations, synchronous {sync_iters}"
+    );
 }
 
 proptest! {
@@ -248,13 +274,11 @@ proptest! {
         );
     }
 
-    /// Under a seeded pause schedule the stealing pool loses no blocks: every
-    /// block iterates at least once, the run still reaches the sequential
-    /// fixed point, and in-flight data stays O(edges). Exercised with the
-    /// locality bias both on and off, so a biased push can never strand a
-    /// block on a stalled worker's deque.
+    /// Under a seeded pause schedule the pool loses no blocks: every block
+    /// iterates at least once, the run still reaches the sequential fixed
+    /// point, and in-flight data stays O(edges).
     #[test]
-    fn prop_stealing_pool_loses_no_blocks_under_pause_schedules(
+    fn prop_pool_loses_no_blocks_under_pause_schedules(
         blocks in 1usize..13,
         workers in 1usize..5,
         seed in 0u64..1_000,
@@ -264,42 +288,32 @@ proptest! {
             .run(&RandomRing::new(blocks, seed), &RunConfig::synchronous(1e-12));
         prop_assert!(reference.converged);
 
-        for locality_bias in [true, false] {
-            let kernel = PausedRing::new(blocks, seed, schedule);
-            let config = RunConfig::asynchronous(1e-10)
-                .with_streak(4)
-                .with_num_workers(workers)
-                .with_steal_policy(StealPolicy::WorkStealing)
-                .with_locality_bias(locality_bias);
-            let report = ThreadedRuntime::new().run(&kernel, &config);
-            prop_assert!(
-                report.converged,
-                "bias {}: {} blocks / {} workers", locality_bias, blocks, workers
-            );
-            prop_assert_eq!(report.iterations.len(), blocks);
-            for (block, &iters) in report.iterations.iter().enumerate() {
-                prop_assert!(
-                    iters > 0,
-                    "block {} never ran (bias {})", block, locality_bias
-                );
-            }
-            for (a, b) in report.solution.iter().zip(&reference.solution) {
-                prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
-            }
-            let edges = DependencyGraph::from_kernel(&kernel).num_edges() as u64;
-            prop_assert!(
-                report.peak_mailbox_occupancy <= edges,
-                "peak occupancy {} exceeded the edge count {}",
-                report.peak_mailbox_occupancy,
-                edges
-            );
+        let kernel = PausedRing::new(blocks, seed, schedule);
+        let config = RunConfig::asynchronous(1e-10)
+            .with_streak(4)
+            .with_num_workers(workers);
+        let report = ThreadedRuntime::new().run(&kernel, &config);
+        prop_assert!(report.converged, "{} blocks / {} workers", blocks, workers);
+        prop_assert_eq!(report.iterations.len(), blocks);
+        for (block, &iters) in report.iterations.iter().enumerate() {
+            prop_assert!(iters > 0, "block {} never ran", block);
         }
+        for (a, b) in report.solution.iter().zip(&reference.solution) {
+            prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+        }
+        let edges = DependencyGraph::from_kernel(&kernel).num_edges() as u64;
+        prop_assert!(
+            report.peak_mailbox_occupancy <= edges,
+            "peak occupancy {} exceeded the edge count {}",
+            report.peak_mailbox_occupancy,
+            edges
+        );
     }
 
     /// The synchronous mode is a barrier-separated Jacobi sweep, so a pause
     /// schedule may change *when* blocks compute but never *what* they
     /// compute: for every pool size the iterates stay bit-identical to the
-    /// sequential sweep and the scheduler counters stay structural zeros.
+    /// sequential sweep and the park count stays a structural zero.
     #[test]
     fn prop_sync_pool_is_bit_identical_to_sequential_under_pauses(
         blocks in 1usize..10,
@@ -316,9 +330,6 @@ proptest! {
                 .run(&kernel, &config.clone().with_num_workers(workers));
             prop_assert!(report.converged, "{} workers", workers);
             prop_assert_eq!(&report.solution, &reference.solution, "{} workers", workers);
-            prop_assert_eq!(report.steals, 0);
-            prop_assert_eq!(report.failed_steal_attempts, 0);
-            prop_assert_eq!(report.local_pushes, 0);
             prop_assert_eq!(report.queue_wait_events, 0);
         }
     }
