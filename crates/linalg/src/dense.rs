@@ -93,39 +93,7 @@ impl DenseMatrix {
     /// Returns `None` when the matrix is (numerically) singular.
     pub fn lu(&self) -> Option<LuFactors> {
         assert_eq!(self.nrows, self.ncols, "lu: matrix must be square");
-        let n = self.nrows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // pivot selection
-            let mut pivot_row = k;
-            let mut pivot_val = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return None;
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, pivot_row * n + j);
-                }
-                perm.swap(k, pivot_row);
-            }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                for j in (k + 1)..n {
-                    lu[i * n + j] -= factor * lu[k * n + j];
-                }
-            }
-        }
-        Some(LuFactors { n, lu, perm })
+        LuFactors::factor(self.nrows, &mut self.data.clone())
     }
 
     /// Solves `A·x = b` via LU with partial pivoting.
@@ -196,42 +164,171 @@ impl LinearOperator for DenseMatrix {
     }
 }
 
+/// The non-zeros of a strictly triangular factor, compressed by row with
+/// ascending column indices inside each row.
+#[derive(Debug, Clone)]
+struct TriangleRows {
+    /// Row `i` owns `cols[ptr[i]..ptr[i + 1]]` / `vals[ptr[i]..ptr[i + 1]]`.
+    ptr: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl TriangleRows {
+    fn with_rows(n: usize) -> Self {
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        Self {
+            ptr,
+            cols: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// Appends the non-zeros of `dense` as the next row; `dense[0]` sits in
+    /// column `first_col`.
+    fn push_row(&mut self, first_col: usize, dense: &[f64]) {
+        for (j, &v) in dense.iter().enumerate() {
+            if v != 0.0 {
+                self.cols.push(first_col + j);
+                self.vals.push(v);
+            }
+        }
+        self.ptr.push(self.cols.len());
+    }
+
+    /// `Σ_j row_i[j] · x[j]` over the stored non-zeros, accumulated strictly
+    /// left to right (no unrolling): a walk over the dense row adds the same
+    /// products in the same order plus `0 · x[j]` terms that change nothing,
+    /// so compressing the factors moves no bit of a non-zero result.
+    #[inline]
+    fn dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.ptr[i], self.ptr[i + 1]);
+        self.vals[lo..hi]
+            .iter()
+            .zip(&self.cols[lo..hi])
+            .map(|(v, &j)| v * x[j])
+            .sum()
+    }
+}
+
 /// The result of an LU factorisation with partial pivoting: `P·A = L·U`.
+///
+/// Only the non-zeros of the factors are stored, so a solve costs
+/// O(nnz(L) + nnz(U) + n). The diagonal blocks of the paper's matrices
+/// factor without fill, which makes that O(nnz(A_ii)), not O(n²).
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     n: usize,
-    /// Combined storage: strictly-lower part holds L (unit diagonal implied),
-    /// upper part holds U.
-    lu: Vec<f64>,
+    /// Strictly lower part of L (its unit diagonal is implied).
+    lower: TriangleRows,
+    /// Strictly upper part of U.
+    upper: TriangleRows,
+    /// The diagonal of U.
+    pivots: Vec<f64>,
     /// Row permutation: row `i` of the factorised matrix is row `perm[i]` of A.
     perm: Vec<usize>,
 }
 
 impl LuFactors {
+    /// Factorises the row-major `n × n` matrix in `lu`, eliminating in place
+    /// (`lu` holds the dense factors afterwards) and keeping only their
+    /// non-zeros.
+    ///
+    /// Returns `None` when the matrix is (numerically) singular.
+    pub(crate) fn factor(n: usize, lu: &mut [f64]) -> Option<Self> {
+        assert_eq!(lu.len(), n * n, "factor: working copy must be n × n");
+        let mut perm: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            // pivot selection
+            let mut pivot_row = k;
+            let mut pivot_val = lu[k * n + k].abs();
+            for i in (k + 1)..n {
+                let v = lu[i * n + k].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = i;
+                }
+            }
+            if pivot_val < 1e-300 {
+                return None;
+            }
+            if pivot_row != k {
+                for j in 0..n {
+                    lu.swap(k * n + j, pivot_row * n + j);
+                }
+                perm.swap(k, pivot_row);
+            }
+            let (above, below) = lu.split_at_mut((k + 1) * n);
+            let pivot_tail = &above[k * n + k..];
+            for row in below.chunks_exact_mut(n) {
+                let factor = row[k] / pivot_tail[0];
+                row[k] = factor;
+                // A zero multiplier would subtract `0 · U[k][j]` from every
+                // entry of the row: nothing to do, and what makes a sparse
+                // block cost its non-zeros instead of n³.
+                if factor == 0.0 {
+                    continue;
+                }
+                for (v, u) in row[k + 1..].iter_mut().zip(&pivot_tail[1..]) {
+                    *v -= factor * u;
+                }
+            }
+        }
+        let mut lower = TriangleRows::with_rows(n);
+        let mut upper = TriangleRows::with_rows(n);
+        let mut pivots = Vec::with_capacity(n);
+        // `max(1)`: a 0 × 0 matrix has no rows, and a zero chunk length panics
+        for (i, row) in lu.chunks_exact(n.max(1)).enumerate() {
+            lower.push_row(0, &row[..i]);
+            pivots.push(row[i]);
+            upper.push_row(i + 1, &row[i + 1..]);
+        }
+        Some(LuFactors {
+            n,
+            lower,
+            upper,
+            pivots,
+            perm,
+        })
+    }
+
     /// Solves `A·x = b` using the stored factors.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `A·x = b` into the caller's `x` without allocating.
+    ///
+    /// # Panics
+    /// Panics if `b` or `x` does not have length [`LuFactors::dim`].
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "LuFactors::solve: rhs length mismatch");
-        let n = self.n;
+        assert_eq!(x.len(), self.n, "LuFactors::solve: x length mismatch");
         // apply permutation
-        let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         // forward substitution (L has unit diagonal)
-        for i in 1..n {
-            let row = &self.lu[i * n..i * n + i];
-            let dot: f64 = row.iter().zip(&x[..i]).map(|(l, xj)| l * xj).sum();
-            x[i] -= dot;
+        for i in 1..self.n {
+            x[i] -= self.lower.dot(i, x);
         }
         // backward substitution
-        for i in (0..n).rev() {
-            let row = &self.lu[i * n + i + 1..(i + 1) * n];
-            let dot: f64 = row.iter().zip(&x[i + 1..]).map(|(u, xj)| u * xj).sum();
-            x[i] = (x[i] - dot) / self.lu[i * n + i];
+        for i in (0..self.n).rev() {
+            x[i] = (x[i] - self.upper.dot(i, x)) / self.pivots[i];
         }
-        x
     }
 
     /// Dimension of the factorised matrix.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Stored non-zeros: `nnz(L) + nnz(U)` plus the `n` pivots.
+    pub fn nnz(&self) -> usize {
+        self.lower.vals.len() + self.upper.vals.len() + self.n
     }
 }
 
@@ -310,7 +407,192 @@ mod tests {
         assert_eq!(a.max_abs(), 7.0);
     }
 
+    /// The dense `n × n` LU with partial pivoting that [`LuFactors`] stored
+    /// before its factors were compressed: every multiplier applied, the
+    /// whole triangle walked. It is the arithmetic the compressed factors
+    /// must reproduce.
+    struct DenseLu {
+        n: usize,
+        lu: Vec<f64>,
+        perm: Vec<usize>,
+    }
+
+    impl DenseLu {
+        fn factor(a: &DenseMatrix) -> Option<Self> {
+            let n = a.nrows;
+            let mut lu = a.data.clone();
+            let mut perm: Vec<usize> = (0..n).collect();
+            for k in 0..n {
+                let mut pivot_row = k;
+                let mut pivot_val = lu[k * n + k].abs();
+                for i in (k + 1)..n {
+                    let v = lu[i * n + k].abs();
+                    if v > pivot_val {
+                        pivot_val = v;
+                        pivot_row = i;
+                    }
+                }
+                if pivot_val < 1e-300 {
+                    return None;
+                }
+                if pivot_row != k {
+                    for j in 0..n {
+                        lu.swap(k * n + j, pivot_row * n + j);
+                    }
+                    perm.swap(k, pivot_row);
+                }
+                let pivot = lu[k * n + k];
+                for i in (k + 1)..n {
+                    let factor = lu[i * n + k] / pivot;
+                    lu[i * n + k] = factor;
+                    for j in (k + 1)..n {
+                        lu[i * n + j] -= factor * lu[k * n + j];
+                    }
+                }
+            }
+            Some(Self { n, lu, perm })
+        }
+
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let n = self.n;
+            let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+            for i in 1..n {
+                let row = &self.lu[i * n..i * n + i];
+                let dot: f64 = row.iter().zip(&x[..i]).map(|(l, xj)| l * xj).sum();
+                x[i] -= dot;
+            }
+            for i in (0..n).rev() {
+                let row = &self.lu[i * n + i + 1..(i + 1) * n];
+                let dot: f64 = row.iter().zip(&x[i + 1..]).map(|(u, xj)| u * xj).sum();
+                x[i] = (x[i] - dot) / self.lu[i * n + i];
+            }
+            x
+        }
+    }
+
+    /// A random row-dominant sparse block: diagonal only (`kind` 0), the
+    /// diagonal plus the `±k` sub-diagonals (1), or a band of half-width `k`
+    /// (2).
+    fn sparse_block(n: usize, kind: usize, k: usize, seed: u64) -> DenseMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            let mut row_sum = 0.0;
+            for j in 0..n {
+                let d = i.abs_diff(j);
+                let stored = match kind {
+                    0 => false,
+                    1 => d == k,
+                    _ => d <= k,
+                };
+                if stored && d > 0 {
+                    let v: f64 = rng.gen_range(-1.0..1.0);
+                    a[(i, j)] = v;
+                    row_sum += v.abs();
+                }
+            }
+            // above 1, so the diagonal is also the largest entry of its column
+            a[(i, i)] = row_sum + rng.gen_range(1.0..2.0);
+        }
+        a
+    }
+
+    /// `solve` and `solve_into` of the compressed factors against the dense
+    /// reference: bit-equal wherever the reference is non-zero (the only
+    /// thing dropping the `0 · x` terms can change is the sign of a zero).
+    fn assert_solves_like_the_dense_reference(a: &DenseMatrix, b: &[f64]) {
+        let reference = DenseLu::factor(a).expect("reference factors").solve(b);
+        let factors = a.lu().expect("compressed factors");
+        let x = factors.solve(b);
+        for (i, (got, want)) in x.iter().zip(&reference).enumerate() {
+            if *want == 0.0 {
+                assert_eq!(*got, 0.0, "component {i}");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "component {i}");
+            }
+        }
+        let mut into = vec![f64::NAN; b.len()];
+        factors.solve_into(b, &mut into);
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&into), bits(&x), "solve_into differs from solve");
+    }
+
+    fn random_rhs(n: usize, seed: u64) -> Vec<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        // a few exact zeros, so the zero-sign cases are exercised too
+        (0..n)
+            .map(|i| {
+                if i % 5 == 3 {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0..1.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_blocks_store_only_their_non_zeros() {
+        // diagonal + the ±7 sub-diagonals of a 10 × 10 block: no fill
+        let a = sparse_block(10, 1, 7, 1);
+        assert_eq!(a.lu().unwrap().nnz(), 10 + 2 * 3);
+        assert_eq!(DenseMatrix::identity(6).lu().unwrap().nnz(), 6);
+    }
+
     proptest! {
+        /// Row-dominant sparse blocks: no row swap, factors stay sparse.
+        #[test]
+        fn prop_compressed_factors_match_dense_reference(
+            n in 1usize..40,
+            kind in 0usize..3,
+            k in 1usize..12,
+            seed in 0u64..500,
+        ) {
+            let a = sparse_block(n, kind, k, seed);
+            assert_solves_like_the_dense_reference(&a, &random_rhs(n, seed));
+        }
+
+        /// Small matrices whose rows were rotated, so the column maximum is
+        /// off the diagonal and elimination has to swap rows.
+        #[test]
+        fn prop_compressed_factors_match_dense_reference_under_row_swaps(
+            n in 2usize..9,
+            kind in 1usize..3,
+            k in 1usize..4,
+            shift in 0usize..8,
+            seed in 0u64..500,
+        ) {
+            let dominant = sparse_block(n, kind, k, seed);
+            let shift = 1 + shift % (n - 1);
+            let mut a = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    a[((i + shift) % n, j)] = dominant[(i, j)];
+                }
+            }
+            prop_assert!(a.lu().unwrap().perm[0] != 0);
+            assert_solves_like_the_dense_reference(&a, &random_rhs(n, seed));
+        }
+
+        /// A zeroed row makes the block singular: still reported, not solved.
+        #[test]
+        fn prop_singular_blocks_are_still_detected(
+            n in 1usize..12,
+            kind in 0usize..3,
+            row in 0usize..12,
+            seed in 0u64..200,
+        ) {
+            let mut a = sparse_block(n, kind, 2, seed);
+            let row = row % n;
+            for j in 0..n {
+                a[(row, j)] = 0.0;
+            }
+            prop_assert!(DenseLu::factor(&a).is_none());
+            prop_assert!(a.lu().is_none());
+        }
+
         /// Solving a random diagonally-dominant system reproduces the rhs
         /// under multiplication.
         #[test]

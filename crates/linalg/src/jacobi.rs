@@ -3,13 +3,13 @@
 //! The paper's sparse-linear solver iterates
 //! `x_{k+1} = x_k + γ·M⁻¹·(b − A·x_k)` where `M` is the block-diagonal matrix
 //! extracted from `A` according to the processor decomposition (Section 4.1).
-//! [`BlockJacobi`] pre-factorises every diagonal block with dense LU so the
-//! application of `M⁻¹` inside the iteration is a cheap pair of triangular
-//! solves per block.
+//! [`BlockJacobi`] pre-factorises every diagonal block with LU, keeping only
+//! the non-zeros of the factors, so the application of `M⁻¹` inside the
+//! iteration is a pair of sparse triangular solves per block.
 
 use crate::csr::CsrMatrix;
 use crate::decomp::Partition;
-use crate::dense::{DenseMatrix, LuFactors};
+use crate::dense::LuFactors;
 
 /// The block-diagonal preconditioner `M⁻¹` induced by a partition of the rows.
 pub struct BlockJacobi {
@@ -33,14 +33,21 @@ impl BlockJacobi {
             "BlockJacobi: partition mismatch"
         );
         let mut factors = Vec::with_capacity(partition.parts());
+        // One block's dense working copy at a time, reused across blocks: the
+        // elimination needs it, the stored factors do not.
+        let mut work = Vec::new();
         for (_, range) in partition.iter() {
-            let block = a.diagonal_block(range.clone());
-            let m = block.nrows();
-            let mut dense = DenseMatrix::zeros(m, m);
-            for (i, j, v) in block.triplets() {
-                dense[(i, j)] = v;
+            let m = range.len();
+            work.clear();
+            work.resize(m * m, 0.0);
+            for i in range.clone() {
+                for (j, v) in a.row(i) {
+                    if range.contains(&j) {
+                        work[(i - range.start) * m + (j - range.start)] = v;
+                    }
+                }
             }
-            factors.push(dense.lu()?);
+            factors.push(LuFactors::factor(m, &mut work)?);
         }
         Some(Self {
             partition: partition.clone(),
@@ -58,11 +65,7 @@ impl BlockJacobi {
         assert_eq!(x.len(), self.partition.len(), "apply: x length mismatch");
         assert_eq!(y.len(), self.partition.len(), "apply: y length mismatch");
         for (b, range) in self.partition.iter() {
-            if range.is_empty() {
-                continue;
-            }
-            let local = self.factors[b].solve(&x[range.clone()]);
-            y[range].copy_from_slice(&local);
+            self.factors[b].solve_into(&x[range.clone()], &mut y[range]);
         }
     }
 
@@ -70,6 +73,14 @@ impl BlockJacobi {
     /// is a block-local slice. This is what each processor of the AIAC solver
     /// calls on its own residual block.
     pub fn apply_block(&self, block: usize, x_local: &[f64]) -> Vec<f64> {
+        let mut y_local = vec![0.0; x_local.len()];
+        self.apply_block_into(block, x_local, &mut y_local);
+        y_local
+    }
+
+    /// [`BlockJacobi::apply_block`] into the caller's `y_local`, without
+    /// allocating.
+    pub fn apply_block_into(&self, block: usize, x_local: &[f64], y_local: &mut [f64]) {
         assert!(
             block < self.factors.len(),
             "apply_block: block out of range"
@@ -79,10 +90,12 @@ impl BlockJacobi {
             self.partition.size(block),
             "apply_block: local length mismatch"
         );
-        if x_local.is_empty() {
-            return Vec::new();
-        }
-        self.factors[block].solve(x_local)
+        self.factors[block].solve_into(x_local, y_local);
+    }
+
+    /// Stored non-zeros of block `block`'s factors (see [`LuFactors::nnz`]).
+    pub fn factor_nnz(&self, block: usize) -> usize {
+        self.factors[block].nnz()
     }
 
     /// The partition this preconditioner was built for.
@@ -148,7 +161,10 @@ mod tests {
         m.apply(&x, &mut full);
         for (b, range) in p.iter() {
             let local = m.apply_block(b, &x[range.clone()]);
-            assert!(max_norm_diff(&local, &full[range]) < 1e-14);
+            assert_eq!(local, &full[range.clone()]);
+            let mut into = vec![f64::NAN; range.len()];
+            m.apply_block_into(b, &x[range.clone()], &mut into);
+            assert_eq!(into, local);
         }
     }
 

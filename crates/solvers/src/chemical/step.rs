@@ -408,6 +408,8 @@ impl IterativeKernel for ChemicalStepKernel {
         // One Newton iteration on the strip: solve (I − h·J_f)·Δ = −G.
         let g = self.local_g(block, local, others);
         let jac = self.local_jacobian(block, local, others);
+        // alloc: the Newton right-hand side; `local_g`, `local_jacobian` and the
+        // GMRES solve around it build fresh vectors every update anyway
         let rhs: Vec<f64> = g.iter().map(|v| -v).collect();
         let (delta, _outcome) = self.gmres.solve_from_zero(&jac, &rhs);
         for ((oi, y), d) in out.iter_mut().zip(local).zip(&delta) {

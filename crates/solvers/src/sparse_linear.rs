@@ -24,6 +24,7 @@ use aiac_linalg::decomp::Partition;
 use aiac_linalg::jacobi::BlockJacobi;
 use aiac_linalg::norms::max_norm_diff;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Shape of the generated test matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,8 +104,11 @@ pub struct SparseLinearProblem {
     b: Vec<f64>,
     x_exact: Vec<f64>,
     partition: Partition,
-    /// Rows owned by each block (global column indices preserved).
-    row_blocks: Vec<CsrMatrix>,
+    /// How each block gathers the unknowns its rows reference.
+    plans: Vec<GatherPlan>,
+    /// Scratch one update needs, for the block that needs most: its compact
+    /// `x` plus its residual.
+    scratch_len: usize,
     /// Block-diagonal preconditioner `M⁻¹`.
     jacobi: BlockJacobi,
     /// Block dependency graph (which blocks own columns referenced by mine).
@@ -155,34 +159,44 @@ impl SparseLinearProblem {
         let partition = Partition::balanced(params.n, params.blocks);
         let jacobi = BlockJacobi::new(&a, &partition)
             .expect("diagonally dominant matrices have invertible diagonal blocks");
-        let row_blocks: Vec<CsrMatrix> = partition.iter().map(|(_, r)| a.row_block(r)).collect();
-        let dependencies = a.block_dependencies(&partition);
 
-        // Count, for every ordered pair (from, to), how many of `from`'s
-        // values `to` references — the payload of a data message.
+        // One pass per block over its rows' external columns gives the
+        // gather plan, the block dependency graph (which blocks own those
+        // columns) and, for every ordered pair (from, to), how many of
+        // `from`'s values `to` references — the payload of a data message.
+        let mut plans = Vec::with_capacity(params.blocks);
+        let mut dependencies = Vec::with_capacity(params.blocks);
         let mut needed = vec![vec![0usize; params.blocks]; params.blocks];
+        let mut iteration_flops = Vec::with_capacity(params.blocks);
+        let mut compact = vec![0usize; params.n];
         for (to, range) in partition.iter() {
-            for col in a.external_dependencies(range) {
+            let external = a.external_dependencies(range.clone());
+            let mut deps: Vec<usize> = Vec::new();
+            for &col in &external {
                 let from = partition.owner(col);
                 needed[from][to] += 1;
+                if deps.last() != Some(&from) {
+                    deps.push(from);
+                }
             }
-        }
+            dependencies.push(deps);
+            let plan = GatherPlan::new(&a, &partition, to, &external, &mut compact);
 
-        let iteration_flops: Vec<f64> = row_blocks
-            .iter()
-            .enumerate()
-            .map(|(b, blk)| {
-                // SpMV on the local rows + residual + preconditioner solve.
-                let spmv = 2.0 * blk.nnz() as f64;
-                let jacobi_cost = {
-                    let len = partition.size(b) as f64;
-                    // dense forward/backward substitution on the diagonal block
-                    let block_nnz = a.diagonal_block(partition.range(b)).nnz() as f64;
-                    2.0 * block_nnz + 4.0 * len
-                };
-                spmv + jacobi_cost
-            })
-            .collect();
+            // SpMV on the local rows + residual + preconditioner solve. The
+            // solve walks the non-zeros of the block's sparse factors, which
+            // on these matrices are exactly the non-zeros of the diagonal
+            // block (no fill, see `paper_scaled_diagonal_blocks_factor_without_fill`),
+            // plus a subtract and a divide per row and the γ-update.
+            let spmv = 2.0 * plan.rows.nnz() as f64;
+            let block_nnz = range
+                .clone()
+                .flat_map(|i| a.row(i))
+                .filter(|(j, _)| range.contains(j))
+                .count() as f64;
+            let jacobi_cost = 2.0 * block_nnz + 4.0 * range.len() as f64;
+            iteration_flops.push(spmv + jacobi_cost);
+            plans.push(plan);
+        }
 
         Self {
             params,
@@ -190,7 +204,12 @@ impl SparseLinearProblem {
             b,
             x_exact,
             partition,
-            row_blocks,
+            scratch_len: plans
+                .iter()
+                .map(|plan| plan.rows.ncols() + plan.rows.nrows())
+                .max()
+                .expect("at least one block"),
+            plans,
             jacobi,
             dependencies,
             needed,
@@ -235,23 +254,116 @@ impl SparseLinearProblem {
             .zip(&self.b)
             .fold(0.0_f64, |acc, (axi, bi)| acc.max((bi - axi).abs()))
     }
+}
 
-    /// Builds the full-length vector of unknowns a block needs for its local
-    /// matrix-vector product: its own values plus the latest available values
-    /// of its dependencies (zero elsewhere — those columns never appear in
-    /// the local rows).
-    fn assemble_global(&self, block: usize, local: &[f64], others: &DependencyView) -> Vec<f64> {
-        let mut x = vec![0.0; self.params.n];
-        let own = self.partition.range(block);
-        x[own].copy_from_slice(local);
-        for &dep in &self.dependencies[block] {
-            if let Some(values) = others.get(dep) {
-                let range = self.partition.range(dep);
-                x[range].copy_from_slice(values);
+/// `len` consecutive values of block `dep`, from its local index `src` on,
+/// land at compact index `dst` on.
+#[derive(Debug, Clone, Copy)]
+struct CopyRun {
+    dep: usize,
+    src: usize,
+    len: usize,
+    dst: usize,
+}
+
+/// What one block needs to compute `b_i − (A·x)_i` without a full-length `x`.
+///
+/// The columns the block's rows reference, together with its own range, are
+/// numbered in ascending order — the *compact* index space. The mapping is
+/// monotone, so every row keeps its in-row column order and the residual
+/// rounds exactly as it does over global columns.
+struct GatherPlan {
+    /// The block's rows with compact column indices.
+    rows: CsrMatrix,
+    /// Fills the compact `x`, run-length encoded; the block's own range is
+    /// one of the runs (`dep` is then the block itself).
+    runs: Vec<CopyRun>,
+}
+
+impl GatherPlan {
+    /// `external` is `a.external_dependencies(range of block)`; `compact` is
+    /// caller-owned scratch of length `n` (global column → compact index),
+    /// valid only for the columns of the block being planned.
+    fn new(
+        a: &CsrMatrix,
+        partition: &Partition,
+        block: usize,
+        external: &[usize],
+        compact: &mut [usize],
+    ) -> Self {
+        let own = partition.range(block);
+        let split = external.partition_point(|&c| c < own.start);
+        let cols: Vec<usize> = external[..split]
+            .iter()
+            .copied()
+            .chain(own.clone())
+            .chain(external[split..].iter().copied())
+            .collect();
+        for (k, &c) in cols.iter().enumerate() {
+            compact[c] = k;
+        }
+
+        let mut row_ptr = Vec::with_capacity(own.len() + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for i in own.clone() {
+            for (j, v) in a.row(i) {
+                col_idx.push(compact[j]);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let rows = CsrMatrix::from_raw(own.len(), cols.len(), row_ptr, col_idx, values);
+
+        let mut runs = Vec::new();
+        let mut dst = 0;
+        while dst < cols.len() {
+            let dep = partition.owner(cols[dst]);
+            let dep_range = partition.range(dep);
+            let mut len = 1;
+            while dst + len < cols.len()
+                && cols[dst + len] == cols[dst] + len
+                && cols[dst + len] < dep_range.end
+            {
+                len += 1;
+            }
+            runs.push(CopyRun {
+                dep,
+                src: cols[dst] - dep_range.start,
+                len,
+                dst,
+            });
+            dst += len;
+        }
+        Self { rows, runs }
+    }
+
+    /// Fills the compact `x` from the block's own values and the latest
+    /// available values of its dependencies (zeros for a dependency no
+    /// version of which has arrived).
+    fn gather(&self, block: usize, local: &[f64], others: &DependencyView, x: &mut [f64]) {
+        for run in &self.runs {
+            let dst = &mut x[run.dst..run.dst + run.len];
+            let values = if run.dep == block {
+                Some(local)
+            } else {
+                others.get(run.dep)
+            };
+            match values {
+                Some(values) => dst.copy_from_slice(&values[run.src..run.src + run.len]),
+                None => dst.fill(0.0),
             }
         }
-        x
     }
+}
+
+thread_local! {
+    /// Per-thread scratch of `update_block_into`: the compact `x` followed by
+    /// the block residual. A problem's first update on a thread sizes it for
+    /// that problem's largest block; every later one reuses it, so updates
+    /// never touch the heap again.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl IterativeKernel for SparseLinearProblem {
@@ -288,22 +400,31 @@ impl IterativeKernel for SparseLinearProblem {
         others: &DependencyView,
         out: &mut [f64],
     ) -> InPlaceUpdate {
-        let x = self.assemble_global(block, local, others);
+        let plan = &self.plans[block];
         let range = self.partition.range(block);
-        // local residual r = b_i − (A·x)_i restricted to the block's rows,
-        // fused into one pass (same accumulation order as spmv + subtract)
-        let mut r = vec![0.0; local.len()];
-        self.row_blocks[block].residual(&self.b[range], &x, &mut r);
-        // correction = γ · M_i⁻¹ · r
-        let correction = self.jacobi.apply_block(block, &r);
-        // new iterate straight into the caller's back buffer, folding the
-        // update residual max into the same pass
-        let mut residual = 0.0f64;
-        for ((oi, xi), ci) in out.iter_mut().zip(local).zip(&correction) {
-            let new = xi + self.params.gamma * ci;
-            residual = residual.max((new - xi).abs());
-            *oi = new;
-        }
+        let residual = SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            if scratch.len() < self.scratch_len {
+                scratch.resize(self.scratch_len, 0.0);
+            }
+            let (x, r) = scratch.split_at_mut(plan.rows.ncols());
+            let r = &mut r[..local.len()];
+            plan.gather(block, local, others, x);
+            // local residual r = b_i − (A·x)_i restricted to the block's rows,
+            // fused into one pass (same accumulation order as spmv + subtract)
+            plan.rows.residual(&self.b[range], x, r);
+            // correction M_i⁻¹ · r, straight into the caller's back buffer
+            self.jacobi.apply_block_into(block, r, out);
+            // new iterate x + γ · correction in place, folding the update
+            // residual max into the same pass
+            let mut residual = 0.0f64;
+            for (oi, xi) in out.iter_mut().zip(local) {
+                let new = xi + self.params.gamma * *oi;
+                residual = residual.max((new - xi).abs());
+                *oi = new;
+            }
+            residual
+        });
         InPlaceUpdate {
             residual,
             copied: false,
@@ -449,6 +570,100 @@ mod tests {
             assert!(report.converged);
             assert_eq!(report.payload_clones, 0, "mode {:?}", config.mode);
             assert_eq!(report.bytes_copied, 0, "mode {:?}", config.mode);
+        }
+    }
+
+    /// The update as it was computed before the gather plan: a full-length
+    /// `x` (own values, the available dependencies, zeros elsewhere) against
+    /// the block's rows over global columns.
+    fn reference_update(
+        p: &SparseLinearProblem,
+        block: usize,
+        local: &[f64],
+        others: &DependencyView,
+    ) -> (Vec<f64>, f64) {
+        let own = p.partition.range(block);
+        let mut x = vec![0.0; p.params.n];
+        x[own.clone()].copy_from_slice(local);
+        for &dep in &p.dependencies[block] {
+            if let Some(values) = others.get(dep) {
+                x[p.partition.range(dep)].copy_from_slice(values);
+            }
+        }
+        let mut r = vec![0.0; local.len()];
+        p.a.row_block(own.clone()).residual(&p.b[own], &x, &mut r);
+        let correction = p.jacobi.apply_block(block, &r);
+        let mut residual = 0.0f64;
+        let values = local
+            .iter()
+            .zip(&correction)
+            .map(|(xi, ci)| {
+                let new = xi + p.params.gamma * ci;
+                residual = residual.max((new - xi).abs());
+                new
+            })
+            .collect();
+        (values, residual)
+    }
+
+    #[test]
+    fn gathered_update_is_bit_identical_to_the_global_assemble_reference() {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for shape in [MatrixShape::ContiguousBand, MatrixShape::ScatteredDiagonals] {
+            for blocks in [1, 3, 12] {
+                let mut params = SparseLinearParams::paper_scaled(240, blocks);
+                params.shape = shape;
+                params.sub_diagonals = 8;
+                params.gamma = 0.9;
+                let p = SparseLinearProblem::new(params);
+                let iterate = |b: usize| -> Vec<f64> {
+                    p.partition
+                        .range(b)
+                        .map(|i| (i as f64 * 0.37).sin() + 0.01 * b as f64)
+                        .collect()
+                };
+                let mut full = DependencyView::new(blocks);
+                for b in 0..blocks {
+                    full.set(b, iterate(b));
+                }
+                for block in 0..blocks {
+                    // every dependency present, then the first one absent
+                    let mut views = vec![full.clone()];
+                    if let Some(&absent) = p.dependencies[block].first() {
+                        let mut partial = DependencyView::new(blocks);
+                        for b in (0..blocks).filter(|&b| b != absent) {
+                            partial.set(b, iterate(b));
+                        }
+                        views.push(partial);
+                    }
+                    let local = iterate(block);
+                    for (v, view) in views.iter().enumerate() {
+                        let (want, want_residual) = reference_update(&p, block, &local, view);
+                        let mut out = vec![f64::NAN; local.len()];
+                        let got = p.update_block_into(block, &local, view, &mut out);
+                        let case = format!("{shape:?}, {blocks} blocks, block {block}, view {v}");
+                        assert_eq!(bits(&out), bits(&want), "{case}");
+                        assert_eq!(got.residual.to_bits(), want_residual.to_bits(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paper_scaled_diagonal_blocks_factor_without_fill() {
+        // `iteration_flops` charges the preconditioner solve 2 flops per
+        // non-zero of the diagonal block; that describes the sparse
+        // triangular solves only if factoring the block creates no fill.
+        for (n, blocks) in [(6000, 12), (24_000, 256), (1200, 12)] {
+            let p = SparseLinearProblem::new(SparseLinearParams::paper_scaled(n, blocks));
+            for (b, range) in p.partition.iter() {
+                assert_eq!(
+                    p.jacobi.factor_nnz(b),
+                    p.a.diagonal_block(range).nnz(),
+                    "n {n}, {blocks} blocks, block {b}"
+                );
+            }
         }
     }
 

@@ -38,12 +38,18 @@
 //!   `String::from`, `.to_owned()`): event names are `&'static str` by
 //!   construction, and the only tolerated allocation is the once-per-worker
 //!   track name passed to `tracer.recorder(...)`, which is not an emit.
+//! * **R9 `no-alloc-in-kernel-update`** — inside the body of an
+//!   `update_block_into` under `crates/solvers/src`, `vec![`, `Vec::new`,
+//!   `Vec::with_capacity`, `.to_vec()` and `.collect()` require an
+//!   `// alloc:` justification: the runtimes call it once per block per
+//!   iteration, and the sparse kernel's is allocation-free.
 //!
 //! `cargo xtask analyze --self-test` seeds one bug per class into a scratch
 //! copy of the tree — a weakened memory ordering, a dropped reclamation, a
 //! lost-element deque edit, an unjustified copy, a stray `unsafe`, a deleted
-//! annotation, a panicking queue path, an allocating hot-path trace emit —
-//! and asserts the matching layer (model checker or lint) catches each one,
+//! annotation, a panicking queue path, an allocating hot-path trace emit, an
+//! allocating kernel update — and asserts the matching layer (model checker
+//! or lint) catches each one,
 //! then restores the copy and asserts it is green again.
 
 use std::collections::BTreeMap;
@@ -72,6 +78,7 @@ const DATA_PLANE: [&str; 3] = [
 const MAILBOX: &str = "crates/core/src/runtime/mailbox.rs";
 const CORE_SRC: &str = "crates/core/src";
 const SERVICE_SRC: &str = "crates/service/src";
+const SOLVERS_SRC: &str = "crates/solvers/src";
 
 pub fn run(args: &[String]) -> i32 {
     let mut self_test = false;
@@ -387,14 +394,19 @@ fn rust_files(root: &Path, dir: &str) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
-    let mut violations = Vec::new();
+/// Loads every `.rs` file under `dir`, keyed by its path relative to `root`.
+fn load_views(root: &Path, dir: &str) -> Result<BTreeMap<String, FileView>, String> {
     let mut views = BTreeMap::new();
-    for rel in rust_files(root, CORE_SRC)? {
+    for rel in rust_files(root, dir)? {
         let view = FileView::load(root, &rel)?;
         views.insert(rel, view);
     }
+    Ok(views)
+}
 
+fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
+    let mut violations = Vec::new();
+    let views = load_views(root, CORE_SRC)?;
     rule_unsafe_allowlist(&views, &mut violations);
     rule_ordering_annotated(&views, &mut violations);
     rule_no_sleep_no_blind_spin(&views, &mut violations);
@@ -402,14 +414,11 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
     rule_atomics_via_facade(&views, &mut violations);
     rule_static_trace_events(&views, &mut violations);
 
-    // The service crate gets its own view map: feeding it into `views` would
-    // perturb the core-only unsafe and ordering pins of R1/R2.
-    let mut service_views = BTreeMap::new();
-    for rel in rust_files(root, SERVICE_SRC)? {
-        let view = FileView::load(root, &rel)?;
-        service_views.insert(rel, view);
-    }
-    rule_no_unwrap_on_queue_paths(&service_views, &mut violations);
+    // The service and solver crates get view maps of their own: feeding them
+    // into `views` would perturb the core-only unsafe and ordering pins of
+    // R1/R2.
+    rule_no_unwrap_on_queue_paths(&load_views(root, SERVICE_SRC)?, &mut violations);
+    rule_no_alloc_in_kernel_update(&load_views(root, SOLVERS_SRC)?, &mut violations);
     Ok(violations)
 }
 
@@ -680,6 +689,59 @@ fn rule_no_unwrap_on_queue_paths(views: &BTreeMap<String, FileView>, out: &mut V
     }
 }
 
+/// R9: a kernel's `update_block_into` body allocates only where it says why.
+/// The body is every line from the `fn update_block_into` line to the one
+/// that closes its braces (strings and comments are already blanked, so the
+/// braces counted are code).
+fn rule_no_alloc_in_kernel_update(views: &BTreeMap<String, FileView>, out: &mut Vec<Violation>) {
+    const ALLOC_TOKENS: [&str; 6] = [
+        "vec![",
+        "Vec::new",
+        "Vec::with_capacity",
+        ".to_vec()",
+        ".collect()",
+        ".collect::<",
+    ];
+    for (rel, view) in views {
+        // inside the function (signature included), and how many of its
+        // braces are open
+        let mut in_fn = false;
+        let mut depth = 0usize;
+        for (i, line) in view.code.iter().enumerate() {
+            if view.is_test(i) {
+                break;
+            }
+            in_fn |= line.contains("fn update_block_into(");
+            if !in_fn {
+                continue;
+            }
+            if depth > 0
+                && ALLOC_TOKENS.iter().any(|t| line.contains(t))
+                && view.annotation(i, "// alloc:").is_none()
+            {
+                out.push(Violation {
+                    file: rel.clone(),
+                    line: i + 1,
+                    rule: "R9",
+                    msg: "allocation inside `update_block_into` without an `// alloc:` \
+                          justification (reuse scratch, or say why this one is needed)"
+                        .into(),
+                });
+            }
+            for c in line.chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => {
+                        depth -= 1;
+                        in_fn = depth > 0;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation self-test
 // ---------------------------------------------------------------------------
@@ -770,6 +832,13 @@ fn mutations() -> Vec<Mutation> {
             find: "rec.instant(\"publish\", block as u64);",
             replace: "rec.instant(format!(\"publish-{block}\").leak(), block as u64);",
             catcher: Catcher::Lint("R8"),
+        },
+        Mutation {
+            name: "M9 allocating-kernel-update (sparse update gathers into a fresh Vec)",
+            file: "crates/solvers/src/sparse_linear.rs",
+            find: "plan.gather(block, local, others, x);",
+            replace: "let x = &mut vec![0.0; x.len()][..]; plan.gather(block, local, others, x);",
+            catcher: Catcher::Lint("R9"),
         },
     ]
 }
