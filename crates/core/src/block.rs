@@ -4,8 +4,15 @@
 //! its own current values, the freshest version of every dependency block it
 //! has received so far (with the iteration tag it was produced at, i.e. the
 //! `s_j^i(t)` of the asynchronous model in Section 1.2), its iteration
-//! counter and its last residual. Both runtimes use it, which keeps their
-//! iteration logic symmetrical.
+//! counter and its last residual. All three runtimes use it, which keeps
+//! their iteration logic symmetrical.
+//!
+//! The state costs O(the block's dependencies), not O(blocks): the view and
+//! the iteration tags hold **one slot per dependency** (plus the block's
+//! own), as the paper's processor keeps only its dependency list (Section
+//! 1.1). A runtime builds every block's initial values once per run
+//! (`BlockState::for_run`) and each view starts as `Arc` clones of them, so
+//! a run starts from O(blocks) payloads and O(edges) references.
 //!
 //! Since the zero-copy data plane, the current values are a shared
 //! [`Payload`] (`Arc<[f64]>`) and the state is *double-buffered*: the kernel
@@ -15,6 +22,7 @@
 //! reused in place; otherwise a fresh allocation replaces it — either way no
 //! payload bytes are copied on the native in-place path.
 
+use crate::depgraph::DependencyGraph;
 use crate::kernel::{DependencyView, IterativeKernel, Payload};
 use aiac_linalg::norms::max_norm_diff;
 use std::sync::Arc;
@@ -27,11 +35,14 @@ pub struct BlockState {
     /// Current local values `X_i^t` (the front buffer). Shared by reference:
     /// publishing or snapshotting this payload bumps a refcount, never copies.
     pub values: Payload,
-    /// Latest received versions of the other blocks.
+    /// Latest received versions of the blocks this one depends on, and of the
+    /// block itself: one slot per dependency, not one per block.
     pub view: DependencyView,
-    /// Iteration tag of the latest received version of each block
-    /// (`None` = still the initial values).
-    pub received_iteration: Vec<Option<u64>>,
+    /// Iteration tag of the latest received version in each slot of `view`
+    /// (`None` = still the initial values), indexed by view position.
+    received_iteration: Vec<Option<u64>>,
+    /// Position of the block's own slot in `view`.
+    own_position: usize,
     /// Number of local iterations performed.
     pub iteration: u64,
     /// Residual of the last local iteration.
@@ -52,19 +63,67 @@ pub struct BlockState {
 }
 
 impl BlockState {
-    /// Initialises the state of block `id` from the kernel's initial values,
-    /// with the dependency view pre-filled with every block's initial values
-    /// (all processors start the first iteration from the same global state).
+    /// Initialises the state of block `id` on its own, from the kernel's
+    /// initial values of the block and of its declared dependencies (all
+    /// processors start the first iteration from the same global state).
+    ///
+    /// The runtimes, which need every block's state, use
+    /// `BlockState::for_run`: it asks the kernel for each block once.
     pub fn new(kernel: &dyn IterativeKernel, id: usize) -> Self {
         assert!(id < kernel.num_blocks(), "block id out of range");
-        let values = kernel.initial_block(id);
+        let mut tracked = kernel.dependencies(id);
+        tracked.push(id);
+        tracked.sort_unstable();
+        tracked.dedup();
+        Self::from_view(
+            id,
+            DependencyView::tracking(kernel.num_blocks(), tracked, |b| {
+                kernel.initial_block(b).into()
+            }),
+        )
+    }
+
+    /// Initialises the state of every block of a run, in block order.
+    ///
+    /// The kernel is asked for each block's initial values once; every view
+    /// starts as references to that one set of payloads. `graph` is the
+    /// kernel's dependency graph: block `b` tracks `graph.in_neighbours(b)`
+    /// (sorted, unique, without `b`) and itself.
+    pub(crate) fn for_run(kernel: &dyn IterativeKernel, graph: &DependencyGraph) -> Vec<Self> {
+        let num_blocks = kernel.num_blocks();
+        let initial: Vec<Payload> = (0..num_blocks)
+            .map(|b| kernel.initial_block(b).into())
+            .collect();
+        (0..num_blocks)
+            .map(|id| {
+                let dependencies = graph.in_neighbours(id);
+                let mut tracked = Vec::with_capacity(dependencies.len() + 1);
+                tracked.extend_from_slice(dependencies);
+                tracked.insert(tracked.partition_point(|&d| d < id), id);
+                // copy: refcount bump — every view shares the run's one set of initial payloads
+                let view = DependencyView::tracking(num_blocks, tracked, |b| initial[b].clone());
+                Self::from_view(id, view)
+            })
+            .collect()
+    }
+
+    fn from_view(id: usize, view: DependencyView) -> Self {
+        let own_position = view
+            .position(id)
+            .expect("a block's view tracks the block itself");
+        // copy: refcount bump — the front buffer starts as the view's own slot
+        let values = view
+            .payload_at(own_position)
+            .expect("every tracked slot is pre-filled")
+            .clone();
         Self {
             id,
-            anchor: values.clone(),
+            anchor: values.to_vec(),
             back: vec![0.0; values.len()].into(),
-            values: values.into(),
-            view: DependencyView::from_initial(kernel),
-            received_iteration: vec![None; kernel.num_blocks()],
+            values,
+            received_iteration: vec![None; view.num_tracked()],
+            own_position,
+            view,
             iteration: 0,
             residual: f64::INFINITY,
             messages_incorporated: 0,
@@ -105,14 +164,19 @@ impl BlockState {
     /// mirrors the paper's implementations where the newest received values
     /// overwrite previous ones. Accepts either an owned `Vec<f64>` or an
     /// already-shared [`Payload`]; the latter is stored by reference.
+    ///
+    /// # Panics
+    /// Panics if `from` is not one of the block's declared dependencies (the
+    /// view has no slot for it).
     pub fn incorporate(&mut self, from: usize, iteration: u64, values: impl Into<Payload>) -> bool {
-        if let Some(prev) = self.received_iteration[from] {
+        let position = self.view.position_for_write(from);
+        if let Some(prev) = self.received_iteration[position] {
             if iteration < prev {
                 return false;
             }
         }
-        self.view.set(from, values);
-        self.received_iteration[from] = Some(iteration);
+        self.view.set_at(position, values.into());
+        self.received_iteration[position] = Some(iteration);
         self.messages_incorporated += 1;
         true
     }
@@ -145,17 +209,18 @@ impl BlockState {
         self.residual = update.residual;
         self.iteration += 1;
         self.back = std::mem::replace(&mut self.values, back);
-        // A processor always has the freshest version of its own block
-        // (a refcount bump, not a copy).
-        self.view.set(self.id, self.values.clone());
+        // A processor always has the freshest version of its own block.
+        // copy: refcount bump — the view's own slot shares the new front buffer
+        self.view.set_at(self.own_position, self.values.clone());
         self.residual
     }
 
     /// The delay (in sender iterations) of the stored version of block `from`
     /// relative to `latest`, i.e. how stale the data is. Returns `None` when
-    /// nothing has been received yet.
+    /// nothing has been received yet (or `from` is not a dependency).
     pub fn staleness(&self, from: usize, latest: u64) -> Option<u64> {
-        self.received_iteration[from].map(|tag| latest.saturating_sub(tag))
+        let tag = self.received_iteration[self.view.position(from)?]?;
+        Some(latest.saturating_sub(tag))
     }
 }
 
@@ -171,6 +236,73 @@ mod tests {
         assert_eq!(&*st.values, &[0.0]);
         assert_eq!(st.iteration, 0);
         assert!(st.view.has(0) && st.view.has(2));
+    }
+
+    #[test]
+    fn a_block_of_a_large_ring_tracks_its_two_neighbours_and_itself() {
+        let kernel = RingContraction::new(2048);
+        let st = BlockState::new(&kernel, 1000);
+        assert_eq!(st.view.num_tracked(), 3);
+        assert_eq!(st.view.num_blocks(), 2048);
+        assert!(st.view.has(999) && st.view.has(1000) && st.view.has(1001));
+        assert_eq!(st.view.get(0), None, "not a dependency: no slot");
+        // the wrap-around block sorts its own id first
+        let first = BlockState::new(&kernel, 0);
+        assert_eq!(first.view.num_tracked(), 3);
+        assert!(first.view.has(2047) && first.view.has(0) && first.view.has(1));
+    }
+
+    #[test]
+    fn tracked_slots_sum_to_edges_plus_blocks() {
+        for blocks in [1, 2, 3, 64] {
+            let kernel = RingContraction::new(blocks);
+            let graph = DependencyGraph::from_kernel(&kernel);
+            let tracked = |states: Vec<BlockState>| -> usize {
+                states.iter().map(|s| s.view.num_tracked()).sum()
+            };
+            let shared = tracked(BlockState::for_run(&kernel, &graph));
+            let alone = tracked((0..blocks).map(|b| BlockState::new(&kernel, b)).collect());
+            assert_eq!(shared, graph.num_edges() + blocks, "{blocks} blocks");
+            assert_eq!(alone, shared, "{blocks} blocks");
+        }
+    }
+
+    #[test]
+    fn the_states_of_a_run_reference_one_set_of_initial_payloads() {
+        let kernel = RingContraction::new(8);
+        let states = BlockState::for_run(&kernel, &DependencyGraph::from_kernel(&kernel));
+        // block 3's payload: its own front buffer and view slot, and one slot
+        // in each neighbour's view
+        assert_eq!(Arc::strong_count(&states[3].values), 4);
+        for neighbour in [2, 4] {
+            let slot = states[neighbour].view.position(3).unwrap();
+            let held = states[neighbour].view.payload_at(slot).unwrap();
+            assert!(Arc::ptr_eq(held, &states[3].values));
+        }
+    }
+
+    #[test]
+    fn stale_messages_are_rejected_where_position_differs_from_id() {
+        let kernel = RingContraction::new(2048);
+        let mut st = BlockState::new(&kernel, 1000);
+        assert_eq!(st.staleness(1001, 10), None);
+        assert!(st.incorporate(1001, 7, vec![7.0]));
+        assert!(!st.incorporate(1001, 6, vec![6.0]), "older than stored");
+        assert_eq!(st.view.expect(1001), &[7.0]);
+        assert_eq!(st.staleness(1001, 10), Some(3));
+        // the other neighbour's tag is untouched, an undeclared block has none
+        assert_eq!(st.staleness(999, 10), None);
+        assert_eq!(st.staleness(5, 10), None);
+        assert!(st.incorporate(999, 0, vec![0.5]));
+        assert_eq!(st.staleness(999, 10), Some(10));
+        assert_eq!(st.messages_incorporated, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 5 is not tracked by this view")]
+    fn incorporating_an_undeclared_block_panics_naming_it() {
+        let kernel = RingContraction::new(2048);
+        BlockState::new(&kernel, 1000).incorporate(5, 1, vec![1.0]);
     }
 
     #[test]

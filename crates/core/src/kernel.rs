@@ -5,7 +5,9 @@
 //! `m` block-components, one per processor. The runtime only needs to know:
 //!
 //! * how many blocks there are and how long each one is;
-//! * which other blocks each block depends on (the dependency graph);
+//! * which other blocks each block depends on (the dependency graph) — the
+//!   [`DependencyView`] a block is updated from holds one slot per
+//!   dependency, so a block it did not declare reads as absent;
 //! * how to update one block given the current local values and whatever
 //!   versions of the dependency blocks happen to be available — this is the
 //!   `G_i` of Algorithm 1, and the fact that the "whatever versions" may be
@@ -34,26 +36,41 @@ pub type Payload = Arc<[f64]>;
 /// The most recent block values a processor has received from the blocks it
 /// depends on (plus, trivially, its own block).
 ///
-/// Entries for blocks the processor does not depend on may be absent; the
-/// initial values are used until a first message arrives. The entries are
+/// A view holds **one slot per tracked block** — the paper's processor keeps
+/// only the blocks in its dependency list (Section 1.1). The view a runtime
+/// gives a block tracks that block's declared dependencies and the block
+/// itself: a sorted id list with a parallel list of payload slots, looked up
+/// by binary search, so a block's state costs O(its dependencies) however
+/// many blocks the problem has. A view over *all* blocks ([`Self::new`],
+/// [`Self::from_initial`]) keeps position == id and needs no id list.
+///
+/// Reading a block the view does not track gives `None`, exactly as a
+/// tracked block without data does; writing one is a bug in the kernel's
+/// [`IterativeKernel::dependencies`] declaration and panics. The entries are
 /// shared [`Payload`]s: replacing one drops a reference, it does not copy or
 /// free the data other processors may still be reading.
 #[derive(Debug, Clone)]
 pub struct DependencyView {
-    blocks: Vec<Option<Payload>>,
+    /// Sorted ids of the tracked blocks, parallel to `slots`; `None` when the
+    /// view tracks every block, where a slot's position is its block id.
+    tracked: Option<Box<[usize]>>,
+    slots: Vec<Option<Payload>>,
+    num_blocks: usize,
 }
 
 impl DependencyView {
-    /// Creates a view over `num_blocks` blocks with no data yet.
+    /// Creates a view over all `num_blocks` blocks with no data yet.
     pub fn new(num_blocks: usize) -> Self {
         Self {
-            blocks: vec![None; num_blocks],
+            tracked: None,
+            slots: vec![None; num_blocks],
+            num_blocks,
         }
     }
 
-    /// Creates a view pre-filled with every block's initial values — the state
-    /// every processor starts from ("only the first iteration begins at the
-    /// same time on all the processors").
+    /// Creates a view over all blocks, pre-filled with every block's initial
+    /// values — the state every processor starts from ("only the first
+    /// iteration begins at the same time on all the processors").
     pub fn from_initial(kernel: &dyn IterativeKernel) -> Self {
         let mut view = Self::new(kernel.num_blocks());
         for b in 0..kernel.num_blocks() {
@@ -62,25 +79,99 @@ impl DependencyView {
         view
     }
 
-    /// Number of block slots in the view.
+    /// Creates a view of a `num_blocks`-block problem that tracks only the
+    /// blocks in `tracked` (sorted, without duplicates), each slot pre-filled
+    /// with `initial(block)`.
+    pub(crate) fn tracking(
+        num_blocks: usize,
+        tracked: Vec<usize>,
+        initial: impl FnMut(usize) -> Payload,
+    ) -> Self {
+        debug_assert!(tracked.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+        assert!(
+            tracked.last().is_none_or(|&b| b < num_blocks),
+            "DependencyView::tracking: block out of range"
+        );
+        Self {
+            slots: tracked.iter().copied().map(initial).map(Some).collect(),
+            tracked: Some(tracked.into()),
+            num_blocks,
+        }
+    }
+
+    /// Number of blocks of the problem the view belongs to.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.num_blocks
+    }
+
+    /// Number of blocks the view holds a slot for.
+    pub fn num_tracked(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot position of block `id`, `None` when the view does not track
+    /// it.
+    pub(crate) fn position(&self, id: usize) -> Option<usize> {
+        match &self.tracked {
+            None => (id < self.slots.len()).then_some(id),
+            Some(tracked) => tracked.binary_search(&id).ok(),
+        }
+    }
+
+    /// Like [`Self::position`], for a block that is about to be written.
+    ///
+    /// # Panics
+    /// Panics if the view does not track `id`.
+    pub(crate) fn position_for_write(&self, id: usize) -> usize {
+        assert!(
+            id < self.num_blocks,
+            "DependencyView::set: block out of range"
+        );
+        self.position(id).unwrap_or_else(|| {
+            panic!(
+                "DependencyView::set: block {id} is not tracked by this view \
+                 (is it missing from the kernel's dependencies() declaration?)"
+            )
+        })
+    }
+
+    /// Stores `values` in the slot at `position`.
+    pub(crate) fn set_at(&mut self, position: usize, values: Payload) {
+        self.slots[position] = Some(values);
+    }
+
+    /// Replaces the data of every tracked block `b` by `latest[b]` — one
+    /// Jacobi sweep's delivery, without a lookup per block.
+    pub(crate) fn refresh_from(&mut self, latest: &[Payload]) {
+        for (position, slot) in self.slots.iter_mut().enumerate() {
+            let block = self.tracked.as_ref().map_or(position, |t| t[position]);
+            // copy: refcount bump — the slot shares the producer's front buffer
+            *slot = Some(latest[block].clone());
+        }
+    }
+
+    /// The shared payload in the slot at `position`, if any.
+    pub(crate) fn payload_at(&self, position: usize) -> Option<&Payload> {
+        self.slots[position].as_ref()
     }
 
     /// Stores the latest values of block `id`. Accepts an existing
     /// [`Payload`] (stored by reference, zero copy) or a `Vec<f64>`
     /// (converted into a fresh payload).
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range, or if the view does not track it: a
+    /// runtime only delivers a block to the blocks that declared it in
+    /// [`IterativeKernel::dependencies`].
     pub fn set(&mut self, id: usize, values: impl Into<Payload>) {
-        assert!(
-            id < self.blocks.len(),
-            "DependencyView::set: block out of range"
-        );
-        self.blocks[id] = Some(values.into());
+        let position = self.position_for_write(id);
+        self.set_at(position, values.into());
     }
 
-    /// The latest values of block `id`, if any version has been stored.
+    /// The latest values of block `id`, if the view tracks it and any version
+    /// has been stored.
     pub fn get(&self, id: usize) -> Option<&[f64]> {
-        self.blocks.get(id).and_then(|b| b.as_deref())
+        self.slots[self.position(id)?].as_deref()
     }
 
     /// The latest values of block `id`.
@@ -431,6 +522,49 @@ mod tests {
         for b in 0..4 {
             assert_eq!(view.expect(b), &[0.0]);
         }
+    }
+
+    #[test]
+    fn a_view_over_all_blocks_keeps_position_equal_to_id() {
+        let view = DependencyView::from_initial(&RingContraction::new(5));
+        assert_eq!(view.num_tracked(), 5);
+        for b in 0..5 {
+            assert_eq!(view.position(b), Some(b));
+        }
+        assert_eq!(view.position(5), None);
+        assert_eq!(view.get(5), None);
+    }
+
+    #[test]
+    fn a_tracking_view_holds_one_slot_per_tracked_block() {
+        let mut view = DependencyView::tracking(100, vec![7, 40, 99], |b| vec![b as f64].into());
+        assert_eq!(view.num_blocks(), 100);
+        assert_eq!(view.num_tracked(), 3);
+        assert_eq!(view.expect(7), &[7.0]);
+        assert_eq!(view.expect(40), &[40.0]);
+        assert_eq!(view.expect(99), &[99.0]);
+        // an untracked block reads like a block without data
+        assert_eq!(view.get(8), None);
+        assert!(!view.has(0));
+        assert_eq!(view.get(100), None);
+        view.set(40, vec![1.5]);
+        assert_eq!(view.expect(40), &[1.5]);
+        assert_eq!(view.expect(7), &[7.0]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "block 8 is not tracked by this view (is it missing from the kernel's dependencies() declaration?)"
+    )]
+    fn set_on_an_untracked_block_panics_naming_the_block() {
+        let mut view = DependencyView::tracking(100, vec![7, 40], |_| vec![0.0].into());
+        view.set(8, vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block out of range")]
+    fn set_past_the_last_block_panics() {
+        DependencyView::new(3).set(3, vec![1.0]);
     }
 
     #[test]

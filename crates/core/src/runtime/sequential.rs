@@ -10,6 +10,7 @@
 use crate::block::BlockState;
 use crate::cancel::CancelToken;
 use crate::config::{ExecutionMode, RunConfig};
+use crate::depgraph::DependencyGraph;
 use crate::kernel::{IterativeKernel, Payload};
 use crate::report::RunReport;
 use std::time::Instant;
@@ -51,7 +52,7 @@ impl SequentialRuntime {
         config.validate();
         let started = Instant::now();
         let m = kernel.num_blocks();
-        let mut blocks: Vec<BlockState> = (0..m).map(|b| BlockState::new(kernel, b)).collect();
+        let mut blocks = BlockState::for_run(kernel, &DependencyGraph::from_kernel(kernel));
 
         let mut iterations = 0u64;
         let mut converged = false;
@@ -68,9 +69,7 @@ impl SequentialRuntime {
             // is a refcount bump per block, not a copy.
             let snapshot: Vec<Payload> = blocks.iter().map(|b| b.values.clone()).collect();
             for state in blocks.iter_mut() {
-                for dep in kernel.dependencies(state.id) {
-                    state.view.set(dep, snapshot[dep].clone());
-                }
+                state.view.refresh_from(&snapshot);
             }
             worst_residual = 0.0f64;
             for state in blocks.iter_mut() {

@@ -258,7 +258,7 @@ impl SimulatedRuntime {
         let tracer = Tracer::new(config.tracing);
         let mut recorders = host_recorders(&tracer, &self.topology);
 
-        let mut states: Vec<BlockState> = (0..m).map(|b| BlockState::new(kernel, b)).collect();
+        let mut states = BlockState::for_run(kernel, &graph);
         let mut iteration_start = SimTime::ZERO;
         let mut iterations = 0u64;
         let mut converged = false;
@@ -306,9 +306,7 @@ impl SimulatedRuntime {
             // block, not a copy).
             let snapshot: Vec<Payload> = states.iter().map(|s| s.values.clone()).collect();
             for state in states.iter_mut() {
-                for dep in graph.in_neighbours(state.id) {
-                    state.view.set(*dep, snapshot[*dep].clone());
-                }
+                state.view.refresh_from(&snapshot);
             }
             worst_residual = 0.0;
             for state in states.iter_mut() {
@@ -497,17 +495,22 @@ impl SimulatedRuntime {
             ReceiveDiscipline::OnDemand { .. } => None,
         };
         let tracer = Tracer::new(config.tracing);
+        let graph = DependencyGraph::from_kernel(kernel);
+        let procs = BlockState::for_run(kernel, &graph)
+            .into_iter()
+            .map(|state| ProcSim::new(state, &graph, config))
+            .collect();
         let mut engine = AsyncEngine {
             kernel,
             config,
             env: self.env.as_ref(),
             topology: &self.topology,
-            graph: DependencyGraph::from_kernel(kernel),
+            graph,
             thread_cfg,
             placement,
             network: Network::new(self.topology.clone()),
             sim: Simulator::new(),
-            procs: (0..m).map(|b| ProcSim::new(kernel, b, m, config)).collect(),
+            procs,
             detector: GlobalDetector::new(m),
             stats: Stats::default(),
             trace: self.record_trace.then(|| ExecutionTrace::new(m)),
@@ -852,7 +855,7 @@ impl AsyncEngine<'_> {
         let mut sends_issued = 0usize;
         for i in 0..self.graph.out_neighbours(block).len() {
             let dst_block = self.graph.out_neighbours(block)[i];
-            if compute_end < self.procs[block].send_busy_until[dst_block] {
+            if compute_end < self.procs[block].send_busy_until[i] {
                 continue;
             }
             let dst = self.placement.host_of(dst_block);
@@ -878,7 +881,7 @@ impl AsyncEngine<'_> {
                 self.network
                     .transfer(host_id, dst, payload, cost.protocol_bytes, pack_done)
             };
-            self.procs[block].send_busy_until[dst_block] = wire_arrival;
+            self.procs[block].send_busy_until[i] = wire_arrival;
             self.stats.data_messages += 1;
             self.stats.data_bytes += payload;
             sends_issued += 1;
@@ -940,8 +943,9 @@ struct ProcSim {
     busy_until: SimTime,
     /// Time at which the block actually stopped (stop received or limit hit).
     stop_time: SimTime,
-    /// Per-destination completion time of the last transfer, used to skip
-    /// sends while a previous one is still in flight.
+    /// Completion time of the last transfer to each dependant (indexed like
+    /// the block's out-neighbour list), used to skip sends while a previous
+    /// one is still in flight.
     send_busy_until: Vec<SimTime>,
     /// The block's current honest residual: the last real update's residual,
     /// or the cumulative drift when quiet iterations are being skipped.
@@ -949,20 +953,15 @@ struct ProcSim {
 }
 
 impl ProcSim {
-    fn new(
-        kernel: &dyn IterativeKernel,
-        block: usize,
-        num_blocks: usize,
-        config: &RunConfig,
-    ) -> Self {
+    fn new(state: BlockState, graph: &DependencyGraph, config: &RunConfig) -> Self {
         Self {
-            state: BlockState::new(kernel, block),
+            send_busy_until: vec![SimTime::ZERO; graph.out_neighbours(state.id).len()],
+            state,
             local: LocalConvergence::new(config.epsilon, config.convergence_streak),
             stopped: false,
             fresh_since_last: false,
             busy_until: SimTime::ZERO,
             stop_time: SimTime::ZERO,
-            send_busy_until: vec![SimTime::ZERO; num_blocks],
             reported_residual: f64::INFINITY,
         }
     }
@@ -993,6 +992,63 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         assert!(sim.sim_time > SimTime::ZERO);
+    }
+
+    /// A ring whose dependency declaration is as untidy as the trait allows:
+    /// unsorted, with duplicates and with the block itself.
+    struct UntidyRing(RingContraction);
+
+    impl IterativeKernel for UntidyRing {
+        fn num_blocks(&self) -> usize {
+            self.0.num_blocks()
+        }
+        fn block_len(&self, block: usize) -> usize {
+            self.0.block_len(block)
+        }
+        fn initial_block(&self, block: usize) -> Vec<f64> {
+            self.0.initial_block(block)
+        }
+        fn dependencies(&self, block: usize) -> Vec<usize> {
+            let m = self.0.blocks;
+            let (left, right) = ((block + m - 1) % m, (block + 1) % m);
+            vec![block, right, left, right, block]
+        }
+        fn update_block(&self, block: usize, local: &[f64], o: &DependencyView) -> BlockUpdate {
+            self.0.update_block(block, local, o)
+        }
+        fn iteration_cost(&self, block: usize) -> f64 {
+            self.0.iteration_cost(block)
+        }
+    }
+
+    #[test]
+    fn an_untidy_dependency_declaration_changes_no_synchronous_iterate() {
+        // All three runtimes read the cleaned-up `DependencyGraph`, so a
+        // declaration with duplicates, the block itself and unsorted ids
+        // must give the solution of the tidy one, bit for bit.
+        let mut tidy = RingContraction::new(7);
+        (tidy.a, tidy.c, tidy.spin) = (0.1, 0.3, 0); // left and right weigh differently
+        let untidy = UntidyRing(tidy.clone());
+        let config = RunConfig::synchronous(1e-10).with_num_workers(3);
+        let bits = |r: &RunReport| -> Vec<u64> { r.solution.iter().map(|v| v.to_bits()).collect() };
+
+        let reference = SequentialRuntime::new().run(&tidy, &config);
+        assert!(reference.converged);
+        let seq = SequentialRuntime::new().run(&untidy, &config);
+        let threaded = crate::runtime::ThreadedRuntime::new().run(&untidy, &config);
+        let sim = SimulatedRuntime::new(grid(7), EnvKind::MpiSync, ProblemKind::SparseLinear)
+            .run(&untidy, &config)
+            .report;
+        for (name, report) in [
+            ("sequential", &seq),
+            ("threaded", &threaded),
+            ("simulated", &sim),
+        ] {
+            assert_eq!(report.iterations, reference.iterations, "{name}");
+            assert_eq!(bits(report), bits(&reference), "{name}");
+        }
+        // one message per edge of the cleaned-up graph (2 per block) per sweep
+        assert_eq!(threaded.data_messages, 14 * reference.iterations[0]);
     }
 
     #[test]

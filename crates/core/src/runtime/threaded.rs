@@ -255,7 +255,9 @@ impl ThreadedRuntime {
     }
 
     /// Runs the kernel, reporting configuration and worker failures as a
-    /// [`RunError`] instead of panicking.
+    /// [`RunError`] instead of panicking. A kernel that panics ends an
+    /// asynchronous run in [`RunError::MissingResults`] naming the blocks it
+    /// left unfinished; a synchronous run still re-raises the panic.
     pub fn try_run(
         &self,
         kernel: &dyn IterativeKernel,
@@ -307,6 +309,15 @@ impl ThreadedRuntime {
         let workers = config.effective_num_workers(m);
 
         let mailboxes = CoalescingMailboxes::new(&graph);
+        // Worker `w` owns blocks `w, w + workers, w + 2·workers, …`: a static
+        // partition, so every block's floating-point trajectory is that of
+        // the sequential Jacobi sweep whatever the pool size.
+        let mut owned: Vec<Vec<BlockState>> = (0..workers)
+            .map(|_| Vec::with_capacity(m.div_ceil(workers)))
+            .collect();
+        for state in BlockState::for_run(kernel, &graph) {
+            owned[state.id % workers].push(state);
+        }
         let barrier = Barrier::new(workers);
         let residuals: Vec<AtomicU64> = (0..m).map(|_| AtomicU64::new(0)).collect();
         let stop = AtomicBool::new(false);
@@ -315,7 +326,7 @@ impl ThreadedRuntime {
         let results: Vec<Mutex<Option<BlockOutcome>>> = (0..m).map(|_| Mutex::new(None)).collect();
 
         crossbeam::scope(|scope| {
-            for worker in 0..workers {
+            for (worker, states) in owned.into_iter().enumerate() {
                 let graph = &graph;
                 let mailboxes = &mailboxes;
                 let barrier = &barrier;
@@ -329,7 +340,7 @@ impl ThreadedRuntime {
                         kernel,
                         config,
                         worker,
-                        workers,
+                        states,
                         graph,
                         mailboxes,
                         barrier,
@@ -387,10 +398,11 @@ impl ThreadedRuntime {
             graph: &graph,
             mailboxes: CoalescingMailboxes::new(&graph),
             sched: WorkPool::new(m),
-            tasks: (0..m)
-                .map(|b| {
+            tasks: BlockState::for_run(kernel, &graph)
+                .into_iter()
+                .map(|state| {
                     Mutex::new(AsyncTask {
-                        state: BlockState::new(kernel, b),
+                        state,
                         local: LocalConvergence::new(config.epsilon, config.convergence_streak),
                         done: false,
                     })
@@ -411,7 +423,7 @@ impl ThreadedRuntime {
         let (coord_tx, coord_rx) = unbounded::<CoordEvent>();
         let mut detector = GlobalDetector::new(m);
 
-        crossbeam::scope(|scope| {
+        let joined = crossbeam::scope(|scope| {
             for worker in 0..workers {
                 let pool = &pool;
                 // copy: channel-handle clone (Sender), not payload data
@@ -439,15 +451,18 @@ impl ThreadedRuntime {
                         }
                     }
                     Ok(CoordEvent::Finished) => finished += 1,
+                    // Every sender is gone before every block finished: a
+                    // worker died and its `PanicGuard` closed the pool.
                     Err(_) => break,
                 }
             }
-        })
-        .expect("an asynchronous worker thread panicked");
+        });
 
         let stats = pool.mailboxes.stats();
         let queue_wait_events = pool.sched.queue_wait_events();
-        finalize_report(
+        // A worker that panicked left the block it was running without a
+        // result, so the failure surfaces below as `MissingResults` naming it.
+        let report = finalize_report(
             kernel,
             ExecutionMode::Asynchronous,
             "threaded async",
@@ -465,7 +480,13 @@ impl ThreadedRuntime {
             detector.is_decided(),
             stats,
             queue_wait_events,
-        )
+        )?;
+        match joined {
+            Ok(()) => Ok(report),
+            // Unreachable as long as a panic can only interrupt a block
+            // before it retires; never swallow one silently.
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     }
 }
 
@@ -663,16 +684,14 @@ impl AsyncPool<'_> {
     }
 }
 
-/// One synchronous pool worker: owns the blocks `worker, worker + workers,
-/// worker + 2·workers, …` and runs them through barrier-separated supersteps.
-/// The static partition keeps every block's floating-point trajectory
-/// identical to the sequential Jacobi sweep regardless of the pool size.
+/// One synchronous pool worker: runs the blocks it owns (`states`) through
+/// barrier-separated supersteps.
 #[allow(clippy::too_many_arguments)]
 fn sync_worker(
     kernel: &dyn IterativeKernel,
     config: &RunConfig,
     worker: usize,
-    workers: usize,
+    mut states: Vec<BlockState>,
     graph: &DependencyGraph,
     mailboxes: &CoalescingMailboxes,
     barrier: &Barrier,
@@ -684,11 +703,6 @@ fn sync_worker(
     tracer: &Tracer,
 ) {
     let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
-    let m = kernel.num_blocks();
-    let mut states: Vec<BlockState> = (worker..m)
-        .step_by(workers.max(1))
-        .map(|b| BlockState::new(kernel, b))
-        .collect();
     let max_iter = config.max_iterations as u64;
     let mut iterations = 0u64;
 
@@ -1093,6 +1107,50 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("[1, 3]"), "{err}");
+    }
+
+    /// A ring whose update of one block panics.
+    struct PanicsOnBlock(RingContraction, usize);
+
+    impl IterativeKernel for PanicsOnBlock {
+        fn num_blocks(&self) -> usize {
+            self.0.num_blocks()
+        }
+        fn block_len(&self, block: usize) -> usize {
+            self.0.block_len(block)
+        }
+        fn initial_block(&self, block: usize) -> Vec<f64> {
+            self.0.initial_block(block)
+        }
+        fn dependencies(&self, block: usize) -> Vec<usize> {
+            self.0.dependencies(block)
+        }
+        fn update_block(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &crate::kernel::DependencyView,
+        ) -> crate::kernel::BlockUpdate {
+            assert_ne!(block, self.1, "injected kernel failure");
+            self.0.update_block(block, local, others)
+        }
+    }
+
+    #[test]
+    fn a_panicking_kernel_ends_the_async_run_in_a_typed_error() {
+        // Regression test: `try_run` promised a `RunError` but the async path
+        // re-panicked on the main thread when a worker died.
+        let kernel = PanicsOnBlock(RingContraction::new(6), 4);
+        for workers in [1, 3] {
+            let config = RunConfig::asynchronous(1e-10).with_num_workers(workers);
+            let err = ThreadedRuntime::new()
+                .try_run(&kernel, &config)
+                .expect_err("block 4 never produces a result");
+            let RunError::MissingResults { missing } = err else {
+                panic!("{workers} workers: unexpected error {err}");
+            };
+            assert!(missing.contains(&4), "{workers} workers: {missing:?}");
+        }
     }
 
     #[test]

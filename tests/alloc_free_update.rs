@@ -3,35 +3,52 @@
 //! scratch and solves into the caller's buffer, so after the first call on a
 //! thread every further call must allocate nothing.
 //!
-//! This file holds exactly one test because it replaces the process's global
-//! allocator with a counting one; the count is kept per thread, so whatever
-//! the test harness allocates on its own threads is not attributed to the
-//! kernel.
+//! And a run's start-up allocates in proportion to the dependency edges, not
+//! to blocks²: a one-sweep run of a ring four times larger allocates about
+//! four times the bytes, and asks the kernel for each block's initial values
+//! once.
+//!
+//! This file replaces the process's global allocator with a counting one.
+//! The allocation count is kept per thread, so whatever the test harness
+//! allocates on its own threads is not attributed to the kernel; the byte
+//! count is process-wide (the threaded runtime allocates on its workers), so
+//! the two tests take turns on a lock.
 
-use aiac::core::kernel::DependencyView;
+use aiac::core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate};
 use aiac::prelude::*;
+use aiac::service::job::ServiceRing;
 use aiac::solvers::sparse_linear::SparseLinearParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Bytes requested by every thread of the process.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test while it runs, so `BYTES` only sees one of them.
+static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 struct CountingAllocator;
 
-fn count_one() {
+fn count(bytes: usize) {
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
     // `try_with`: a thread that is tearing down may still free and allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell` without a destructor, so touching it never allocates or re-enters.
+// `GlobalAlloc` contract; the counters are a static atomic and a
+// const-initialised thread-local `Cell` without a destructor, so touching
+// them never allocates or re-enters.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(new_size);
         // SAFETY: `ptr` came from `System`; the rest is the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,6 +70,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
     let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
     let blocks = problem.num_blocks();
     let view = DependencyView::from_initial(&problem);
@@ -77,4 +95,84 @@ fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
         "{allocated} heap allocations in {} warm block updates",
         3 * blocks
     );
+}
+
+/// A ring that counts how often the runtime asks for initial values.
+struct CountsInitialBlocks {
+    ring: ServiceRing,
+    initial_block_calls: AtomicUsize,
+}
+
+impl IterativeKernel for CountsInitialBlocks {
+    fn num_blocks(&self) -> usize {
+        self.ring.num_blocks()
+    }
+    fn block_len(&self, block: usize) -> usize {
+        self.ring.block_len(block)
+    }
+    fn initial_block(&self, block: usize) -> Vec<f64> {
+        self.initial_block_calls.fetch_add(1, Ordering::Relaxed);
+        self.ring.initial_block(block)
+    }
+    fn dependencies(&self, block: usize) -> Vec<usize> {
+        self.ring.dependencies(block)
+    }
+    fn update_block(&self, block: usize, local: &[f64], others: &DependencyView) -> BlockUpdate {
+        self.ring.update_block(block, local, others)
+    }
+    fn update_block_into(
+        &self,
+        block: usize,
+        local: &[f64],
+        others: &DependencyView,
+        out: &mut [f64],
+    ) -> InPlaceUpdate {
+        self.ring.update_block_into(block, local, others, out)
+    }
+}
+
+#[test]
+fn run_start_up_allocates_in_proportion_to_the_block_count() {
+    type Run<'a> = &'a dyn Fn(&dyn IterativeKernel);
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    // One sweep: the run is all start-up. (bytes allocated, initial_block calls)
+    let one_sweep = |blocks: usize, run: Run| {
+        let kernel = CountsInitialBlocks {
+            ring: ServiceRing::new(blocks),
+            initial_block_calls: AtomicUsize::new(0),
+        };
+        let before = BYTES.load(Ordering::Relaxed);
+        run(&kernel);
+        let bytes = BYTES.load(Ordering::Relaxed) - before;
+        (bytes, kernel.initial_block_calls.into_inner())
+    };
+    let sync = RunConfig::synchronous(1e-9)
+        .with_max_iterations(1)
+        .with_num_workers(2);
+    let asynchronous = RunConfig::asynchronous(1e-9)
+        .with_max_iterations(1)
+        .with_num_workers(2);
+    let runs: [(&str, Run); 3] = [
+        ("sequential", &|k| {
+            SequentialRuntime::new().run(k, &sync);
+        }),
+        ("threaded sync", &|k| {
+            ThreadedRuntime::new().run(k, &sync);
+        }),
+        ("threaded async", &|k| {
+            ThreadedRuntime::new().run(k, &asynchronous);
+        }),
+    ];
+    for (name, run) in runs {
+        let (small_bytes, small_calls) = one_sweep(512, run);
+        let (large_bytes, large_calls) = one_sweep(2048, run);
+        assert_eq!(small_calls, 512, "{name}: one initial payload per block");
+        assert_eq!(large_calls, 2048, "{name}: one initial payload per block");
+        assert!(
+            large_bytes <= 5 * small_bytes,
+            "{name}: 4x the blocks allocated {large_bytes} B against {small_bytes} B \
+             ({:.1}x): per-block state is growing with the block count",
+            large_bytes as f64 / small_bytes as f64
+        );
+    }
 }

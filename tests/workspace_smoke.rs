@@ -1,7 +1,9 @@
-//! Workspace smoke test: the `aiac::prelude` facade re-exports compile and
-//! the three runtimes (sequential, threaded, simulated) agree on a tiny
-//! banded system. This is the first test to look at when a workspace-level
-//! change (manifests, vendored shims, re-exports) breaks something.
+//! Workspace smoke test: the `aiac::prelude` facade re-exports compile, the
+//! three runtimes (sequential, threaded, simulated) agree on a tiny banded
+//! system, and a block's state holds one view slot per declared dependency
+//! for every kernel in the tree. This is the first test to look at when a
+//! workspace-level change (manifests, vendored shims, re-exports) breaks
+//! something.
 
 use aiac::core::runtime::sequential::SequentialRuntime;
 use aiac::core::runtime::simulated::SimulatedRuntime;
@@ -78,4 +80,41 @@ fn all_three_runtimes_agree_on_a_tiny_banded_system() {
     for (s, r) in simulated.report.solution.iter().zip(&reference.solution) {
         assert_abs_diff_eq!(*s, *r, epsilon = 1e-6);
     }
+}
+
+/// A block's state holds one slot per declared dependency plus its own: over
+/// all blocks that is edges + blocks, for every problem shape in the tree.
+#[test]
+fn per_block_state_tracks_one_slot_per_dependency() {
+    use aiac::core::block::BlockState;
+    use aiac::core::depgraph::DependencyGraph;
+    use aiac::linalg::GmresParams;
+    use aiac::service::job::ServiceRing;
+    use aiac::solvers::chemical::{ChemicalStepKernel, GridGeometry, StepCostModel};
+
+    let geometry = GridGeometry::new(12, 12);
+    let chemical = ChemicalStepKernel::new(
+        geometry,
+        4,
+        geometry.initial_state(),
+        180.0,
+        180.0,
+        GmresParams::default(),
+        StepCostModel::default(),
+    );
+    let sparse = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
+    let ring = ServiceRing::new(2048);
+    let kernels: [(&str, &dyn IterativeKernel); 3] = [
+        ("ring", &ring),
+        ("sparse", &sparse),
+        ("chemical", &chemical),
+    ];
+    for (name, kernel) in kernels {
+        let graph = DependencyGraph::from_kernel(kernel);
+        let tracked: usize = (0..kernel.num_blocks())
+            .map(|b| BlockState::new(kernel, b).view.num_tracked())
+            .sum();
+        assert_eq!(tracked, graph.num_edges() + kernel.num_blocks(), "{name}");
+    }
+    assert_eq!(BlockState::new(&ring, 1000).view.num_tracked(), 3);
 }
