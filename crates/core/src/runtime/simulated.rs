@@ -48,7 +48,6 @@ use aiac_netsim::sched::{HostLoad, HostScheduler};
 use aiac_netsim::sim::Simulator;
 use aiac_netsim::time::SimTime;
 use aiac_netsim::topology::GridTopology;
-use aiac_netsim::trace::{Activity, ExecutionTrace};
 use aiac_obs::{Layer, TraceSnapshot, Tracer, TrackRecorder};
 use serde::{Deserialize, Serialize};
 
@@ -110,16 +109,14 @@ pub struct SimMetrics {
 }
 
 /// Result of a simulated run: the usual report plus simulation-only
-/// information (virtual time, execution trace, network statistics, per-host
-/// CPU loads and the placement that was used).
+/// information (virtual time, network statistics, per-host CPU loads, the
+/// placement that was used and the per-host event trace).
 #[derive(Debug, Clone)]
 pub struct SimulationOutcome {
     /// The standard run report; `elapsed_secs` holds the *virtual* time.
     pub report: RunReport,
     /// Final virtual time of the run.
     pub sim_time: SimTime,
-    /// Execution trace (only when tracing was enabled).
-    pub trace: Option<ExecutionTrace>,
     /// Network transfer statistics.
     pub network: NetworkStats,
     /// Per-host CPU load over the run: busy time, core-queueing delay, job
@@ -130,6 +127,8 @@ pub struct SimulationOutcome {
     /// Per-host event timelines on the virtual clock (empty unless
     /// `RunConfig::tracing` enables recording). Timestamps are virtual
     /// nanoseconds, so the exported trace is bit-identical across runs.
+    /// Its `compute` / `cpu_wait` / `send` spans are the execution flow of
+    /// the paper's Figures 1 and 2.
     pub obs_trace: TraceSnapshot,
 }
 
@@ -166,7 +165,6 @@ pub struct SimulatedRuntime {
     topology: GridTopology,
     env: Box<dyn Environment>,
     problem: ProblemKind,
-    record_trace: bool,
     placement: Option<PlacementPolicy>,
 }
 
@@ -178,17 +176,8 @@ impl SimulatedRuntime {
             topology,
             env: env.build(),
             problem,
-            record_trace: false,
             placement: None,
         }
-    }
-
-    /// Enables or disables execution tracing (needed for the Figure 1/2
-    /// reproduction; off by default because traces grow with the iteration
-    /// count).
-    pub fn with_trace(mut self, enable: bool) -> Self {
-        self.record_trace = enable;
-        self
     }
 
     /// Forces a placement policy, overriding whatever the [`RunConfig`]
@@ -254,7 +243,6 @@ impl SimulatedRuntime {
         let placement = Placement::compute(self.effective_policy(config), m, &self.topology);
         let mut network = Network::new(self.topology.clone());
         let mut cpu = HostScheduler::for_topology(&self.topology);
-        let mut trace = self.record_trace.then(|| ExecutionTrace::new(m));
         let tracer = Tracer::new(config.tracing);
         let mut recorders = host_recorders(&tracer, &self.topology);
 
@@ -281,12 +269,6 @@ impl SimulatedRuntime {
                         iteration_start,
                         host.compute_time(kernel.iteration_cost(b)),
                     );
-                    if let Some(tr) = trace.as_mut() {
-                        if slot.start > iteration_start {
-                            tr.record(b, iteration_start, slot.start, Activity::Idle);
-                        }
-                        tr.record(b, slot.start, slot.end, Activity::Compute);
-                    }
                     let rec = &mut recorders[host_id.0];
                     if slot.start > iteration_start {
                         rec.span_complete(
@@ -426,12 +408,6 @@ impl SimulatedRuntime {
                     control_messages += 1;
                 }
             }
-
-            if let Some(tr) = trace.as_mut() {
-                for (b, &end) in compute_end.iter().enumerate() {
-                    tr.record(b, end, next_start, Activity::Idle);
-                }
-            }
             iteration_start = next_start;
 
             if worst_residual < config.epsilon {
@@ -463,7 +439,6 @@ impl SimulatedRuntime {
         drop(recorders);
         SimulationOutcome {
             sim_time: iteration_start,
-            trace,
             network: network.stats(),
             host_loads: cpu.loads(iteration_start),
             placement,
@@ -513,7 +488,6 @@ impl SimulatedRuntime {
             procs,
             detector: GlobalDetector::new(m),
             stats: Stats::default(),
-            trace: self.record_trace.then(|| ExecutionTrace::new(m)),
             cpu: HostScheduler::for_topology(&self.topology),
             rx_pools,
             recorders: host_recorders(&tracer, &self.topology),
@@ -569,7 +543,6 @@ impl SimulatedRuntime {
         };
         SimulationOutcome {
             sim_time: end_time,
-            trace: engine.trace,
             network: engine.network.stats(),
             host_loads: engine.cpu.loads(end_time),
             placement: engine.placement,
@@ -631,7 +604,6 @@ struct AsyncEngine<'a> {
     procs: Vec<ProcSim>,
     detector: GlobalDetector,
     stats: Stats,
-    trace: Option<ExecutionTrace>,
     /// Compute cores of every host.
     cpu: HostScheduler,
     /// Per-host dedicated receiving-thread pools (None = on-demand threads).
@@ -765,12 +737,6 @@ impl AsyncEngine<'_> {
             host.compute_time(kernel.iteration_cost(block)),
         );
         let compute_end = slot.end;
-        if let Some(tr) = self.trace.as_mut() {
-            if slot.start > now {
-                tr.record(block, now, slot.start, Activity::Idle);
-            }
-            tr.record(block, slot.start, slot.end, Activity::Compute);
-        }
         let rec = &mut self.recorders[host_id.0];
         if slot.start > now {
             rec.span_complete("cpu_wait", sim_ns(now), sim_ns(slot.start), block as u64);
@@ -866,9 +832,6 @@ impl AsyncEngine<'_> {
                     .thread_cfg
                     .send_queue_delay(sends_issued, cost.sender_cpu);
             let pack_done = pack_start + cost.sender_cpu;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(block, pack_start, pack_done, Activity::Send);
-            }
             self.recorders[host_id.0].span_complete(
                 "send",
                 sim_ns(pack_start),
@@ -1140,23 +1103,32 @@ mod tests {
     #[test]
     fn tracing_records_compute_and_idle_time() {
         let kernel = RingContraction::new(2);
-        let sync = SimulatedRuntime::new(grid(2), EnvKind::MpiSync, ProblemKind::SparseLinear)
-            .with_trace(true)
-            .run(&kernel, &RunConfig::synchronous(1e-8));
-        let trace = sync.trace.expect("trace requested");
-        assert!(trace.time_in(0, Activity::Compute) > SimTime::ZERO);
-        assert!(
-            trace.time_in(0, Activity::Idle) > SimTime::ZERO,
-            "SISC has idle time"
-        );
+        let traced = |env, config: RunConfig| {
+            SimulatedRuntime::new(grid(2), env, ProblemKind::SparseLinear)
+                .run(&kernel, &config.with_tracing(aiac_obs::TraceConfig::on()))
+        };
+        // Per host: (idle gaps between consecutive compute spans, spans).
+        let gaps = |outcome: &SimulationOutcome| -> Vec<(usize, usize)> {
+            let host = |t: &aiac_obs::Track| {
+                let s: Vec<(u64, u64)> = t.spans("compute").collect();
+                (s.windows(2).filter(|w| w[1].0 > w[0].1).count(), s.len())
+            };
+            outcome.obs_trace.tracks.iter().map(host).collect()
+        };
+        let sync = traced(EnvKind::MpiSync, RunConfig::synchronous(1e-8));
+        let n = sync.report.iterations[0] as usize;
+        // SISC hosts idle at the barrier after every iteration but the last.
+        assert_eq!(gaps(&sync), vec![(n - 1, n); 2]);
+        assert!(sync.obs_trace.tracks[0].span_ns("compute") < sim_ns(sync.sim_time));
 
-        let async_run = SimulatedRuntime::new(grid(2), EnvKind::Pm2, ProblemKind::SparseLinear)
-            .with_trace(true)
-            .run(&kernel, &RunConfig::asynchronous(1e-8));
-        let atrace = async_run.trace.expect("trace requested");
-        assert!(atrace.time_in(0, Activity::Compute) > SimTime::ZERO);
         // AIAC processors on uncontended hosts never wait between iterations.
-        assert_eq!(atrace.time_in(0, Activity::Idle), SimTime::ZERO);
+        let async_run = traced(EnvKind::Pm2, RunConfig::asynchronous(1e-8));
+        for (idle_gaps, spans) in gaps(&async_run) {
+            assert!(
+                idle_gaps == 0 && spans > 1,
+                "{idle_gaps} gaps in {spans} spans"
+            );
+        }
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use mpi_mad::MpiMadeleine;
 pub use mpi_sync::MpiSync;
 pub use omniorb::OmniOrb;
 pub use pm2::Pm2;
-pub use profile::{EnvProfile, ServiceKnobs, TraceKnobs};
+pub use profile::{EnvProfile, ServiceKnobs};
 pub use threads::{ReceiveDiscipline, ThreadConfig};

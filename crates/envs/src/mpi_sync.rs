@@ -81,6 +81,7 @@ impl Environment for MpiSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads::ReceiveDiscipline;
 
     #[test]
     fn is_the_synchronous_baseline() {
@@ -96,7 +97,7 @@ mod tests {
         for problem in [ProblemKind::SparseLinear, ProblemKind::NonLinearChemical] {
             let cfg = env.thread_config(problem, 16);
             assert_eq!(cfg.sending_threads, 1);
-            assert_eq!(cfg.receive.concurrency(), 1);
+            assert!(matches!(cfg.receive, ReceiveDiscipline::Dedicated(1)));
         }
     }
 

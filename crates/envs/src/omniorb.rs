@@ -96,6 +96,7 @@ impl Environment for OmniOrb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads::ReceiveDiscipline;
 
     #[test]
     fn omniorb_is_an_object_invocation_environment() {
@@ -109,7 +110,7 @@ mod tests {
         let env = OmniOrb::new();
         let cfg = env.thread_config(ProblemKind::SparseLinear, 24);
         assert_eq!(cfg.sending_threads, 24);
-        assert!(cfg.receive.is_on_demand());
+        assert!(matches!(cfg.receive, ReceiveDiscipline::OnDemand { .. }));
         // with so many senders, outgoing packings never queue
         let pack = SimTime::from_millis(1.0);
         assert_eq!(cfg.send_queue_delay(23, pack), SimTime::ZERO);
@@ -120,7 +121,7 @@ mod tests {
         let env = OmniOrb::new();
         let cfg = env.thread_config(ProblemKind::NonLinearChemical, 24);
         assert_eq!(cfg.sending_threads, 2);
-        assert!(cfg.receive.is_on_demand());
+        assert!(matches!(cfg.receive, ReceiveDiscipline::OnDemand { .. }));
     }
 
     #[test]

@@ -136,44 +136,6 @@ impl EnvProfile {
             },
         }
     }
-
-    /// Default tracing sizing for this profile.
-    ///
-    /// The observability plane (`aiac-obs`) keeps one bounded event ring
-    /// per track; how large a ring a profile warrants follows the same
-    /// gradient as its service sizing. The synchronous baseline emits few
-    /// events per worker (one superstep span per iteration), the
-    /// asynchronous grid environments emit more (sends and arrivals are
-    /// decoupled from iterations), and the shared-memory profile — whose
-    /// workers also trace parks and mailbox takes and publishes — emits the
-    /// most. Plain numbers only: consumers build their own `TraceConfig`
-    /// from these, so this crate needs no edge to the observability crate.
-    pub fn trace_knobs(self) -> TraceKnobs {
-        match self {
-            EnvProfile::SyncMpi => TraceKnobs {
-                ring_capacity: 16_384,
-            },
-            EnvProfile::AsyncPm2 | EnvProfile::AsyncMpiMad | EnvProfile::AsyncOmniOrb => {
-                TraceKnobs {
-                    ring_capacity: 32_768,
-                }
-            }
-            EnvProfile::LocalThreads => TraceKnobs {
-                ring_capacity: 65_536,
-            },
-        }
-    }
-}
-
-/// Per-profile sizing knobs for the observability plane's event rings.
-///
-/// Consumed by whoever builds a trace configuration for a run under a given
-/// [`EnvProfile`]; carries plain numbers so this crate stays free of an
-/// observability dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceKnobs {
-    /// Per-track event-ring capacity, in events (newest win on overflow).
-    pub ring_capacity: usize,
 }
 
 /// Per-profile sizing knobs for the multi-tenant solver service.
@@ -277,22 +239,6 @@ mod tests {
             assert!(
                 k.tenant_queue_depth <= k.max_in_flight,
                 "{p}: one tenant's queue cannot exceed the global bound"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_knobs_scale_up_with_asynchrony() {
-        let sync = EnvProfile::SyncMpi.trace_knobs();
-        let grid = EnvProfile::AsyncMpiMad.trace_knobs();
-        let smp = EnvProfile::LocalThreads.trace_knobs();
-        assert!(sync.ring_capacity < grid.ring_capacity);
-        assert!(grid.ring_capacity < smp.ring_capacity);
-        for p in EnvProfile::ALL {
-            let k = p.trace_knobs();
-            assert!(
-                k.ring_capacity.is_power_of_two(),
-                "{p}: ring capacities are powers of two by convention"
             );
         }
     }

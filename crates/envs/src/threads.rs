@@ -38,22 +38,6 @@ pub enum ReceiveDiscipline {
     },
 }
 
-impl ReceiveDiscipline {
-    /// True for the on-demand variant.
-    pub fn is_on_demand(&self) -> bool {
-        matches!(self, ReceiveDiscipline::OnDemand { .. })
-    }
-
-    /// Number of receptions that can make progress concurrently
-    /// (`usize::MAX` for on-demand threads).
-    pub fn concurrency(&self) -> usize {
-        match self {
-            ReceiveDiscipline::Dedicated(n) => *n,
-            ReceiveDiscipline::OnDemand { .. } => usize::MAX,
-        }
-    }
-}
-
 /// The thread configuration of one environment for one problem.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThreadConfig {
@@ -96,21 +80,6 @@ impl ThreadConfig {
         pack_cost * rounds as f64
     }
 
-    /// Extra receiver-side delay for the `k`-th message (0-based) arriving in
-    /// the same dispatch window, given a per-message handling cost.
-    ///
-    /// Dedicated pools serialise arrivals beyond the pool size; on-demand
-    /// threads handle all arrivals concurrently but pay the spawn cost.
-    pub fn receive_queue_delay(&self, k: usize, handle_cost: SimTime) -> SimTime {
-        match self.receive {
-            ReceiveDiscipline::Dedicated(pool) => {
-                let rounds = k / pool.max(1);
-                handle_cost * rounds as f64
-            }
-            ReceiveDiscipline::OnDemand { spawn_cost } => spawn_cost,
-        }
-    }
-
     /// A human-readable description matching the wording of Table 4.
     pub fn describe(&self) -> String {
         let send = match self.sending_threads {
@@ -135,15 +104,14 @@ mod tests {
     #[test]
     fn dedicated_config_reports_pool_size() {
         let c = ThreadConfig::dedicated(1, 2);
-        assert_eq!(c.receive.concurrency(), 2);
-        assert!(!c.receive.is_on_demand());
+        assert_eq!(c.receive, ReceiveDiscipline::Dedicated(2));
     }
 
     #[test]
-    fn on_demand_config_has_unbounded_concurrency() {
-        let c = ThreadConfig::on_demand(2, SimTime::from_micros(50.0));
-        assert!(c.receive.is_on_demand());
-        assert_eq!(c.receive.concurrency(), usize::MAX);
+    fn on_demand_config_carries_its_spawn_cost() {
+        let spawn = SimTime::from_micros(50.0);
+        let c = ThreadConfig::on_demand(2, spawn);
+        assert_eq!(c.receive, ReceiveDiscipline::OnDemand { spawn_cost: spawn });
     }
 
     #[test]
@@ -161,19 +129,6 @@ mod tests {
         let c = ThreadConfig::dedicated(1, 1);
         let pack = SimTime::from_millis(2.0);
         assert_eq!(c.send_queue_delay(3, pack), pack * 3.0);
-    }
-
-    #[test]
-    fn dedicated_receive_queues_but_on_demand_does_not() {
-        let handle = SimTime::from_millis(1.0);
-        let dedicated = ThreadConfig::dedicated(1, 1);
-        assert_eq!(dedicated.receive_queue_delay(0, handle), SimTime::ZERO);
-        assert_eq!(dedicated.receive_queue_delay(2, handle), handle * 2.0);
-
-        let spawn = SimTime::from_micros(80.0);
-        let on_demand = ThreadConfig::on_demand(1, spawn);
-        assert_eq!(on_demand.receive_queue_delay(0, handle), spawn);
-        assert_eq!(on_demand.receive_queue_delay(7, handle), spawn);
     }
 
     #[test]

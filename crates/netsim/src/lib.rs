@@ -19,9 +19,11 @@
 //!   co-located compute phases and receptions queue FIFO instead of all
 //!   running at full speed;
 //! * [`event`] / [`sim`] — a classic discrete-event kernel (virtual clock,
-//!   ordered event queue) that the simulated AIAC runtime drives;
-//! * [`trace`] — per-processor activity traces used to regenerate the
-//!   execution-flow pictures of Figures 1 and 2.
+//!   ordered event queue) that the simulated AIAC runtime drives.
+//!
+//! Per-host timelines (the execution-flow pictures of Figures 1 and 2) are
+//! not recorded here: the simulated runtime emits them as `aiac-obs` spans
+//! on the virtual clock, and `aiac_obs::text_timeline` draws them.
 //!
 //! Everything is deterministic: two runs with the same topology, workload and
 //! seed produce bit-identical results, which the benchmark harness relies on.
@@ -37,7 +39,6 @@ pub mod sched;
 pub mod sim;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use event::{Event, EventQueue};
 pub use host::{Host, HostId, SiteId};
@@ -47,4 +48,3 @@ pub use sched::{CpuScheduler, HostLoad, HostScheduler, Slot};
 pub use sim::Simulator;
 pub use time::SimTime;
 pub use topology::GridTopology;
-pub use trace::{Activity, ExecutionTrace, TraceEntry};

@@ -20,8 +20,10 @@
 //! * [`chrome`] — a deterministic Chrome trace-event JSON exporter (open the
 //!   file in Perfetto or `chrome://tracing`) plus the in-repo schema checker
 //!   CI validates exported traces against;
-//! * [`summary`] — a deterministic text rendering of a snapshot, with
-//!   log2-bucket latency histograms per span name.
+//! * [`summary`] — deterministic text renderings of a snapshot: a summary
+//!   with log2-bucket latency histograms per span name, and an ASCII
+//!   timeline per track (the simulator's Figures 1–2), which reports every
+//!   truncated track.
 //!
 //! The crate is dependency-free apart from the workspace's vendored serde
 //! shims, and contains no `unsafe` at all.
@@ -40,5 +42,5 @@ pub use chrome::{to_chrome_json, validate_chrome_trace, ChromeTraceStats};
 pub use event::{Event, EventKind};
 pub use metrics::{Log2Histogram, MetricDirection, MetricEntry, MetricKind, MetricsRegistry};
 pub use ring::EventRing;
-pub use summary::text_summary;
+pub use summary::{text_summary, text_timeline};
 pub use tracer::{Layer, TraceConfig, TraceSnapshot, Tracer, Track, TrackRecorder};

@@ -114,6 +114,23 @@ pub struct Track {
     pub ring: EventRing,
 }
 
+impl Track {
+    /// The `(start_ns, end_ns)` of every retained complete span named
+    /// `name`, oldest first.
+    pub fn spans<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.ring
+            .iter_in_order()
+            .filter(move |e| e.kind == EventKind::Complete && e.name == name)
+            .map(|e| (e.time_ns, e.extra))
+    }
+
+    /// Total nanoseconds covered by the retained complete spans named
+    /// `name` — e.g. a host's busy time is `span_ns("compute")`.
+    pub fn span_ns(&self, name: &str) -> u64 {
+        self.spans(name).map(|(s, e)| e.saturating_sub(s)).sum()
+    }
+}
+
 /// Everything recorders share.
 struct SharedState {
     enabled: AtomicBool,

@@ -11,7 +11,6 @@ use aiac::core::runtime::threaded::ThreadedRuntime;
 use aiac::envs::threads::ProblemKind;
 use aiac::prelude::*;
 use aiac::solvers::sparse_linear::{MatrixShape, SparseLinearParams};
-use approx::assert_abs_diff_eq;
 
 fn tiny_banded_problem() -> SparseLinearProblem {
     SparseLinearProblem::new(SparseLinearParams {
@@ -75,10 +74,10 @@ fn all_three_runtimes_agree_on_a_tiny_banded_system() {
     );
 
     for (t, r) in threaded.solution.iter().zip(&reference.solution) {
-        assert_abs_diff_eq!(*t, *r, epsilon = 1e-6);
+        assert!((t - r).abs() <= 1e-6, "threaded {t} vs {r}");
     }
     for (s, r) in simulated.report.solution.iter().zip(&reference.solution) {
-        assert_abs_diff_eq!(*s, *r, epsilon = 1e-6);
+        assert!((s - r).abs() <= 1e-6, "simulated {s} vs {r}");
     }
 }
 
