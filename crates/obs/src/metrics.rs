@@ -308,6 +308,8 @@ mod tests {
         assert!(reg.get("missing").is_none());
     }
 
+    // The check is a `debug_assert`, so a release build has nothing to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "duplicate metric name")]
     fn duplicate_names_are_rejected_in_debug_builds() {

@@ -67,10 +67,36 @@ pub struct Reaction {
     pub r2: f64,
 }
 
+/// The diurnal coefficients `q3(t)` and `q4(t)` evaluated at one time. They
+/// cost a `sin` and an `exp` each, so a time step evaluates them once and
+/// every grid point reuses them.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct DiurnalRates {
+    /// `q3(t)`.
+    pub q3: f64,
+    /// `q4(t)`.
+    pub q4: f64,
+}
+
+impl DiurnalRates {
+    /// The coefficients at time `t`.
+    pub fn at(t: f64) -> Self {
+        Self {
+            q3: q3(t),
+            q4: q4(t),
+        }
+    }
+}
+
 /// Evaluates the reaction terms at concentrations `(c1, c2)` and time `t`.
 pub fn reaction(c1: f64, c2: f64, t: f64) -> Reaction {
-    let q3t = q3(t);
-    let q4t = q4(t);
+    reaction_with(c1, c2, DiurnalRates::at(t))
+}
+
+/// Evaluates the reaction terms at concentrations `(c1, c2)` with the
+/// diurnal coefficients already evaluated.
+pub fn reaction_with(c1: f64, c2: f64, rates: DiurnalRates) -> Reaction {
+    let DiurnalRates { q3: q3t, q4: q4t } = rates;
     Reaction {
         r1: -Q1 * c1 * C3 - Q2 * c1 * c2 + 2.0 * q3t * C3 + q4t * c2,
         r2: Q1 * c1 * C3 - Q2 * c1 * c2 + q4t * c2,
@@ -93,7 +119,13 @@ pub struct ReactionJacobian {
 
 /// Evaluates the reaction Jacobian at `(c1, c2)` and time `t`.
 pub fn reaction_jacobian(c1: f64, c2: f64, t: f64) -> ReactionJacobian {
-    let q4t = q4(t);
+    reaction_jacobian_with(c1, c2, DiurnalRates::at(t))
+}
+
+/// Evaluates the reaction Jacobian at `(c1, c2)` with the diurnal
+/// coefficients already evaluated.
+pub fn reaction_jacobian_with(c1: f64, c2: f64, rates: DiurnalRates) -> ReactionJacobian {
+    let q4t = rates.q4;
     ReactionJacobian {
         dr1_dc1: -Q1 * C3 - Q2 * c2,
         dr1_dc2: -Q2 * c1 + q4t,

@@ -10,12 +10,27 @@
 //! synchronously or asynchronously by any back-end of `aiac-core`, with a
 //! barrier between time steps provided by the outer loop in
 //! [`crate::chemical::ChemicalProblem`].
+//!
+//! A block update does O(non-zeros) work and allocates nothing once its
+//! thread is warm. Everything that does not change within a time step is
+//! built by [`ChemicalStepKernel::new`]: the diurnal coefficients at the
+//! step's end time, the vertical diffusion coefficients of every z-row, and
+//! one CSR Jacobian pattern per distinct strip height. A strip's Jacobian
+//! row for one unknown lists its columns in a fixed order (down, left, the
+//! other species when it comes first, the diagonal, the other species when
+//! it comes second, right, up), which is already the sorted order, so an
+//! update writes the Newton right-hand side and the Jacobian values in one
+//! pass over the strip's rows, straight into per-thread scratch, and GMRES
+//! solves over the pattern with those values ([`CsrMatrix::spmv_values`])
+//! in a reused [`GmresWorkspace`].
 
 use super::model;
 use aiac_core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate, IterativeKernel};
 use aiac_linalg::csr::CsrMatrix;
 use aiac_linalg::decomp::Partition;
-use aiac_linalg::gmres::{Gmres, GmresParams};
+use aiac_linalg::gmres::{Gmres, GmresParams, GmresWorkspace};
+use aiac_linalg::operator::FnOperator;
+use std::cell::RefCell;
 
 /// Geometry of the discretised domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,13 +148,103 @@ pub struct ChemicalStepKernel {
     strip: Partition,
     /// Full previous-step state (z-major).
     y_prev: Vec<f64>,
-    /// Time at the end of the step (the implicit Euler evaluation time).
-    t_next: f64,
+    /// The diurnal coefficients at the end of the step (the implicit Euler
+    /// evaluation time).
+    rates: model::DiurnalRates,
+    /// `(Kv(z + dz/2), Kv(z − dz/2)) / dz²` of every z-row, zero where the
+    /// row is the domain's top or bottom edge.
+    kv: Vec<(f64, f64)>,
     /// Time-step length h.
     dt: f64,
     gmres: Gmres,
+    /// The Jacobian pattern of every distinct strip height, shortest first;
+    /// the values each holds are unused.
+    patterns: Vec<CsrMatrix>,
     /// Virtual cost model for the simulated runtime.
     cost: StepCostModel,
+}
+
+/// The buffers of one Newton iteration, sized for the largest strip.
+struct NewtonScratch {
+    /// The right-hand side −G.
+    rhs: Vec<f64>,
+    /// The Newton correction Δ.
+    delta: Vec<f64>,
+    /// The Jacobian values, in the order of the strip's pattern.
+    jacobian: Vec<f64>,
+    gmres: GmresWorkspace,
+}
+
+impl NewtonScratch {
+    const fn new() -> Self {
+        Self {
+            rhs: Vec::new(),
+            delta: Vec::new(),
+            jacobian: Vec::new(),
+            gmres: GmresWorkspace::new(),
+        }
+    }
+
+    /// Grows every buffer to serve a strip of `n` unknowns whose Jacobian
+    /// has `nnz` entries.
+    fn reserve(&mut self, n: usize, nnz: usize, restart: usize) {
+        for (buf, len) in [
+            (&mut self.rhs, n),
+            (&mut self.delta, n),
+            (&mut self.jacobian, nnz),
+        ] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
+            }
+        }
+        self.gmres.reserve(n, restart);
+    }
+}
+
+thread_local! {
+    /// Per-thread Newton buffers: sized by the first update a thread runs,
+    /// reused by every later one.
+    static SCRATCH: RefCell<NewtonScratch> = const { RefCell::new(NewtonScratch::new()) };
+}
+
+/// The Jacobian pattern of a strip of `height` z-rows of `nx` points: each
+/// unknown couples to the same species one row down, one column left, one
+/// column right and one row up (where that neighbour is inside the strip),
+/// and to the other species at its own point.
+fn jacobian_pattern(nx: usize, height: usize) -> CsrMatrix {
+    let n = height * nx * 2;
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(n * 6);
+    row_ptr.push(0);
+    for row in 0..height {
+        for ix in 0..nx {
+            for s in 0..2 {
+                let p = (row * nx + ix) * 2 + s;
+                if row > 0 {
+                    col_idx.push(p - 2 * nx);
+                }
+                if ix > 0 {
+                    col_idx.push(p - 2);
+                }
+                if s == 1 {
+                    col_idx.push(p - 1);
+                }
+                col_idx.push(p);
+                if s == 0 {
+                    col_idx.push(p + 1);
+                }
+                if ix + 1 < nx {
+                    col_idx.push(p + 2);
+                }
+                if row + 1 < height {
+                    col_idx.push(p + 2 * nx);
+                }
+                row_ptr.push(col_idx.len());
+            }
+        }
+    }
+    let nnz = col_idx.len();
+    CsrMatrix::from_raw(n, n, row_ptr, col_idx, vec![0.0; nnz])
 }
 
 impl ChemicalStepKernel {
@@ -163,13 +268,39 @@ impl ChemicalStepKernel {
             "blocks must be in 1..=nz"
         );
         assert!(dt > 0.0, "the time step must be positive");
+        let strip = Partition::balanced(geometry.nz, blocks);
+        let dz = geometry.dz();
+        let kv = (0..geometry.nz)
+            .map(|iz| {
+                let z = geometry.z(iz);
+                let up = if iz + 1 < geometry.nz {
+                    model::kv(z + dz / 2.0) / (dz * dz)
+                } else {
+                    0.0
+                };
+                let down = if iz > 0 {
+                    model::kv(z - dz / 2.0) / (dz * dz)
+                } else {
+                    0.0
+                };
+                (up, down)
+            })
+            .collect();
+        let mut heights: Vec<usize> = (0..blocks).map(|b| strip.size(b)).collect();
+        heights.sort_unstable();
+        heights.dedup();
         Self {
             geometry,
-            strip: Partition::balanced(geometry.nz, blocks),
+            strip,
             y_prev,
-            t_next,
+            rates: model::DiurnalRates::at(t_next),
+            kv,
             dt,
             gmres: Gmres::new(gmres),
+            patterns: heights
+                .into_iter()
+                .map(|h| jacobian_pattern(geometry.nx, h))
+                .collect(),
             cost,
         }
     }
@@ -184,179 +315,118 @@ impl ChemicalStepKernel {
         &self.geometry
     }
 
-    /// Concentration of species `s` at `(ix, iz)` seen from block `block`:
-    /// either a local unknown, or a frozen value from a neighbouring strip's
-    /// latest received data, falling back to the previous time step when no
-    /// message has arrived yet.
-    fn conc(
+    /// Writes the Newton system of one strip: the right-hand side
+    /// `−G(y)_p = −(y_p − y_prev_p − h·f_p)` into `rhs`, and the local
+    /// Jacobian `I − h·∂f/∂y_local` into `jacobian` in the order of the
+    /// strip's pattern. The neighbour strips' values are constants (the
+    /// multi-splitting approximation): the latest received boundary row,
+    /// or the previous time step's when no message has arrived yet.
+    fn newton_system(
         &self,
         block: usize,
         local: &[f64],
         others: &DependencyView,
-        s: usize,
-        ix: usize,
-        iz: usize,
-    ) -> f64 {
-        let rows = self.strip.range(block);
-        let nx = self.geometry.nx;
-        if rows.contains(&iz) {
-            let local_row = iz - rows.start;
-            return local[(local_row * nx + ix) * 2 + s];
-        }
-        // The stencil only reaches one row outside the strip, so `iz` belongs
-        // to a neighbouring block.
-        let owner = self.strip.owner(iz);
-        if let Some(values) = others.get(owner) {
-            let owner_rows = self.strip.range(owner);
-            let local_row = iz - owner_rows.start;
-            values[(local_row * nx + ix) * 2 + s]
-        } else {
-            self.y_prev[self.geometry.index(s, ix, iz)]
-        }
-    }
-
-    /// Right-hand side `f` of the semi-discretised ODE (equation 11) at one
-    /// grid point, for both species.
-    fn f_point(
-        &self,
-        block: usize,
-        local: &[f64],
-        others: &DependencyView,
-        ix: usize,
-        iz: usize,
-    ) -> (f64, f64) {
-        let g = &self.geometry;
-        let dx = g.dx();
-        let dz = g.dz();
-        let z = g.z(iz);
-        let kv_up = if iz + 1 < g.nz {
-            model::kv(z + dz / 2.0) / (dz * dz)
-        } else {
-            0.0
-        };
-        let kv_down = if iz > 0 {
-            model::kv(z - dz / 2.0) / (dz * dz)
-        } else {
-            0.0
-        };
-        let c1 = self.conc(block, local, others, 0, ix, iz);
-        let c2 = self.conc(block, local, others, 1, ix, iz);
-        let reaction = model::reaction(c1, c2, self.t_next);
-        let mut out = [0.0f64; 2];
-        for (s, out_s) in out.iter_mut().enumerate() {
-            let c = if s == 0 { c1 } else { c2 };
-            let ixl = ix.saturating_sub(1);
-            let ixr = (ix + 1).min(g.nx - 1);
-            let cl = self.conc(block, local, others, s, ixl, iz);
-            let cr = self.conc(block, local, others, s, ixr, iz);
-            let horizontal =
-                model::KH * (cr - 2.0 * c + cl) / (dx * dx) + model::V * (cr - cl) / (2.0 * dx);
-            let cu = if iz + 1 < g.nz {
-                self.conc(block, local, others, s, ix, iz + 1)
-            } else {
-                c
-            };
-            let cd = if iz > 0 {
-                self.conc(block, local, others, s, ix, iz - 1)
-            } else {
-                c
-            };
-            let vertical = kv_up * (cu - c) - kv_down * (c - cd);
-            let r = if s == 0 { reaction.r1 } else { reaction.r2 };
-            *out_s = horizontal + vertical + r;
-        }
-        (out[0], out[1])
-    }
-
-    /// Evaluates the local nonlinear residual `G(y)_p = y_p − y_prev_p − h·f_p`
-    /// for every unknown of the strip.
-    fn local_g(&self, block: usize, local: &[f64], others: &DependencyView) -> Vec<f64> {
-        let rows = self.strip.range(block);
-        let nx = self.geometry.nx;
-        let mut g = vec![0.0; local.len()];
-        for (local_row, iz) in rows.clone().enumerate() {
-            for ix in 0..nx {
-                let (f1, f2) = self.f_point(block, local, others, ix, iz);
-                for (s, f) in [f1, f2].into_iter().enumerate() {
-                    let p = (local_row * nx + ix) * 2 + s;
-                    let prev = self.y_prev[self.geometry.index(s, ix, iz)];
-                    g[p] = local[p] - prev - self.dt * f;
-                }
-            }
-        }
-        g
-    }
-
-    /// Assembles the local Newton Jacobian `I − h·∂f/∂y_local` of the strip,
-    /// treating the neighbour strips' values as constants (the multi-splitting
-    /// approximation).
-    fn local_jacobian(&self, block: usize, local: &[f64], others: &DependencyView) -> CsrMatrix {
-        let rows = self.strip.range(block);
+        rhs: &mut [f64],
+        jacobian: &mut [f64],
+    ) {
         let g = &self.geometry;
         let nx = g.nx;
-        let dx = g.dx();
-        let dz = g.dz();
-        let n_local = local.len();
+        let row_len = 2 * nx;
+        let rows = self.strip.range(block);
+        let height = rows.len();
         let h = self.dt;
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(n_local * 8);
-        let idx_local = |local_row: usize, ix: usize, s: usize| (local_row * nx + ix) * 2 + s;
+        let dx = g.dx();
+        let a_left = model::KH / (dx * dx) - model::V / (2.0 * dx);
+        let a_right = model::KH / (dx * dx) + model::V / (2.0 * dx);
+        // The transport part of the diagonal, per column: the x boundaries
+        // clamp the stencil, which folds a neighbour onto the point itself.
+        let centre = -2.0 * model::KH / (dx * dx);
+        let (edge_left, edge_right) = (centre + a_left, centre + a_right);
+        // The rows just outside the strip. At the domain's top and bottom
+        // there is none, and the strip's own edge row stands in: the stencil
+        // then reads the point itself, as the boundary condition does.
+        let prev_row = |iz: usize| &self.y_prev[iz * row_len..(iz + 1) * row_len];
+        let below = (rows.start > 0).then(|| {
+            others
+                .get(block - 1)
+                .map_or(prev_row(rows.start - 1), |v| &v[v.len() - row_len..])
+        });
+        let above = (rows.end < g.nz).then(|| {
+            others
+                .get(block + 1)
+                .map_or(prev_row(rows.end), |v| &v[..row_len])
+        });
 
-        for (local_row, iz) in rows.clone().enumerate() {
-            let z = g.z(iz);
-            let kv_up = if iz + 1 < g.nz {
-                model::kv(z + dz / 2.0) / (dz * dz)
+        let mut k = 0;
+        for (r, iz) in rows.enumerate() {
+            let cur = &local[r * row_len..(r + 1) * row_len];
+            let down = if r > 0 {
+                &local[(r - 1) * row_len..r * row_len]
             } else {
-                0.0
+                below.unwrap_or(cur)
             };
-            let kv_down = if iz > 0 {
-                model::kv(z - dz / 2.0) / (dz * dz)
+            let up = if r + 1 < height {
+                &local[(r + 1) * row_len..(r + 2) * row_len]
             } else {
-                0.0
+                above.unwrap_or(cur)
             };
+            let prev = prev_row(iz);
+            let (kv_up, kv_down) = self.kv[iz];
+            let rhs = &mut rhs[r * row_len..(r + 1) * row_len];
             for ix in 0..nx {
-                let c1 = self.conc(block, local, others, 0, ix, iz);
-                let c2 = self.conc(block, local, others, 1, ix, iz);
-                let rj = model::reaction_jacobian(c1, c2, self.t_next);
+                let (c1, c2) = (cur[2 * ix], cur[2 * ix + 1]);
+                let reaction = model::reaction_with(c1, c2, self.rates);
+                let rj = model::reaction_jacobian_with(c1, c2, self.rates);
+                let left = 2 * ix.saturating_sub(1);
+                let right = 2 * (ix + 1).min(nx - 1);
+                let diag_transport = if ix == 0 {
+                    edge_left
+                } else if ix + 1 == nx {
+                    edge_right
+                } else {
+                    centre
+                } - (kv_up + kv_down);
                 for s in 0..2 {
-                    let p = idx_local(local_row, ix, s);
-                    // Transport part: ∂f/∂c coefficients accumulated per column.
-                    let mut diag_transport = -2.0 * model::KH / (dx * dx);
-                    // horizontal neighbours (clamped at the x boundaries)
-                    let a_left = model::KH / (dx * dx) - model::V / (2.0 * dx);
-                    let a_right = model::KH / (dx * dx) + model::V / (2.0 * dx);
-                    if ix > 0 {
-                        triplets.push((p, idx_local(local_row, ix - 1, s), -h * a_left));
+                    let p = 2 * ix + s;
+                    let (c, cl, cr) = (cur[p], cur[left + s], cur[right + s]);
+                    let horizontal = model::KH * (cr - 2.0 * c + cl) / (dx * dx)
+                        + model::V * (cr - cl) / (2.0 * dx);
+                    let vertical = kv_up * (up[p] - c) - kv_down * (c - down[p]);
+                    let (reaction_s, same, cross) = if s == 0 {
+                        (reaction.r1, rj.dr1_dc1, rj.dr1_dc2)
                     } else {
-                        diag_transport += a_left;
+                        (reaction.r2, rj.dr2_dc2, rj.dr2_dc1)
+                    };
+                    let f = horizontal + vertical + reaction_s;
+                    rhs[p] = -(c - prev[p] - h * f);
+
+                    let mut push = |v: f64| {
+                        jacobian[k] = v;
+                        k += 1;
+                    };
+                    if r > 0 {
+                        push(-h * kv_down);
+                    }
+                    if ix > 0 {
+                        push(-h * a_left);
+                    }
+                    if s == 1 {
+                        push(-h * cross);
+                    }
+                    push(1.0 - h * (diag_transport + same));
+                    if s == 0 {
+                        push(-h * cross);
                     }
                     if ix + 1 < nx {
-                        triplets.push((p, idx_local(local_row, ix + 1, s), -h * a_right));
-                    } else {
-                        diag_transport += a_right;
+                        push(-h * a_right);
                     }
-                    // vertical neighbours: only rows inside the strip are unknowns
-                    diag_transport -= kv_up + kv_down;
-                    if iz + 1 < g.nz && rows.contains(&(iz + 1)) {
-                        triplets.push((p, idx_local(local_row + 1, ix, s), -h * kv_up));
+                    if r + 1 < height {
+                        push(-h * kv_up);
                     }
-                    if iz > 0 && rows.contains(&(iz - 1)) {
-                        triplets.push((p, idx_local(local_row - 1, ix, s), -h * kv_down));
-                    }
-                    // reaction part (couples the two species at the same point)
-                    let (drs_dc1, drs_dc2) = if s == 0 {
-                        (rj.dr1_dc1, rj.dr1_dc2)
-                    } else {
-                        (rj.dr2_dc1, rj.dr2_dc2)
-                    };
-                    let same = if s == 0 { drs_dc1 } else { drs_dc2 };
-                    let cross = if s == 0 { drs_dc2 } else { drs_dc1 };
-                    let cross_col = idx_local(local_row, ix, 1 - s);
-                    triplets.push((p, p, 1.0 - h * (diag_transport + same)));
-                    triplets.push((p, cross_col, -h * cross));
                 }
             }
         }
-        CsrMatrix::from_triplets(n_local, n_local, triplets)
+        debug_assert_eq!(k, jacobian.len(), "the fill must match the pattern");
     }
 }
 
@@ -406,26 +476,48 @@ impl IterativeKernel for ChemicalStepKernel {
         out: &mut [f64],
     ) -> InPlaceUpdate {
         // One Newton iteration on the strip: solve (I − h·J_f)·Δ = −G.
-        let g = self.local_g(block, local, others);
-        let jac = self.local_jacobian(block, local, others);
-        // alloc: the Newton right-hand side; `local_g`, `local_jacobian` and the
-        // GMRES solve around it build fresh vectors every update anyway
-        let rhs: Vec<f64> = g.iter().map(|v| -v).collect();
-        let (delta, _outcome) = self.gmres.solve_from_zero(&jac, &rhs);
-        for ((oi, y), d) in out.iter_mut().zip(local).zip(&delta) {
-            *oi = y + d;
-        }
-        // Residual: largest Newton correction relative to the species scale,
-        // so the two species (1e6 vs 1e12) are weighted comparably.
-        let mut residual = 0.0f64;
-        for (p, d) in delta.iter().enumerate() {
-            let scale = if p % 2 == 0 {
-                model::C1_SCALE
-            } else {
-                model::C2_SCALE
-            };
-            residual = residual.max(d.abs() / scale);
-        }
+        let n = local.len();
+        let pattern = self
+            .patterns
+            .iter()
+            .find(|p| p.nrows() == n)
+            .expect("a pattern for every strip height");
+        let largest = &self.patterns[self.patterns.len() - 1];
+        let residual = SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            // sized for the tallest strip, so no later block grows it
+            scratch.reserve(largest.nrows(), largest.nnz(), self.gmres.params().restart);
+            let NewtonScratch {
+                rhs,
+                delta,
+                jacobian,
+                gmres,
+            } = &mut *scratch;
+            let (rhs, delta) = (&mut rhs[..n], &mut delta[..n]);
+            let jacobian = &mut jacobian[..pattern.nnz()];
+            self.newton_system(block, local, others, rhs, jacobian);
+            let jacobian = &*jacobian;
+            let op = FnOperator::new(n, |x: &[f64], y: &mut [f64]| {
+                pattern.spmv_values(jacobian, x, y)
+            });
+            delta.fill(0.0);
+            self.gmres.solve_into(&op, rhs, delta, gmres);
+            for ((oi, y), d) in out.iter_mut().zip(local).zip(&*delta) {
+                *oi = y + d;
+            }
+            // Residual: largest Newton correction relative to the species
+            // scale, so the two species (1e6 vs 1e12) are weighted comparably.
+            let mut residual = 0.0f64;
+            for (p, d) in delta.iter().enumerate() {
+                let scale = if p % 2 == 0 {
+                    model::C1_SCALE
+                } else {
+                    model::C2_SCALE
+                };
+                residual = residual.max(d.abs() / scale);
+            }
+            residual
+        });
         InPlaceUpdate {
             residual,
             copied: false,
@@ -475,6 +567,9 @@ mod tests {
     use aiac_core::config::RunConfig;
     use aiac_core::runtime::sequential::SequentialRuntime;
 
+    /// The step's end time in the kernels built by [`kernel`].
+    const T_NEXT: f64 = 180.0;
+
     fn geometry() -> GridGeometry {
         GridGeometry::new(12, 12)
     }
@@ -485,11 +580,332 @@ mod tests {
             g,
             blocks,
             g.initial_state(),
-            180.0,
+            T_NEXT,
             180.0,
             GmresParams::default(),
             StepCostModel::default(),
         )
+    }
+
+    /// The update as it was written before the kernel kept a pattern: a
+    /// stencil read resolves its owner per point, the residual and the
+    /// Jacobian are separate passes that evaluate the diurnal and vertical
+    /// coefficients at every point, the Jacobian is assembled from triplets
+    /// and sorted by `from_triplets`, and GMRES runs on a fresh workspace
+    /// (`Gmres::solve_into` equals the pre-workspace GMRES loop bit for bit,
+    /// which `aiac-linalg`'s gmres tests pin).
+    impl ChemicalStepKernel {
+        /// Concentration of species `s` at `(ix, iz)` seen from block `block`:
+        /// either a local unknown, or a frozen value from a neighbouring
+        /// strip's latest received data, falling back to the previous time
+        /// step when no message has arrived yet.
+        fn conc(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            s: usize,
+            ix: usize,
+            iz: usize,
+        ) -> f64 {
+            let rows = self.strip.range(block);
+            let nx = self.geometry.nx;
+            if rows.contains(&iz) {
+                let local_row = iz - rows.start;
+                return local[(local_row * nx + ix) * 2 + s];
+            }
+            let owner = self.strip.owner(iz);
+            if let Some(values) = others.get(owner) {
+                let owner_rows = self.strip.range(owner);
+                let local_row = iz - owner_rows.start;
+                values[(local_row * nx + ix) * 2 + s]
+            } else {
+                self.y_prev[self.geometry.index(s, ix, iz)]
+            }
+        }
+
+        /// Right-hand side `f` of the semi-discretised ODE (equation 11) at
+        /// one grid point at time `t`, for both species.
+        fn f_point(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            ix: usize,
+            iz: usize,
+            t: f64,
+        ) -> (f64, f64) {
+            let g = &self.geometry;
+            let dx = g.dx();
+            let dz = g.dz();
+            let z = g.z(iz);
+            let kv_up = if iz + 1 < g.nz {
+                model::kv(z + dz / 2.0) / (dz * dz)
+            } else {
+                0.0
+            };
+            let kv_down = if iz > 0 {
+                model::kv(z - dz / 2.0) / (dz * dz)
+            } else {
+                0.0
+            };
+            let c1 = self.conc(block, local, others, 0, ix, iz);
+            let c2 = self.conc(block, local, others, 1, ix, iz);
+            let reaction = model::reaction(c1, c2, t);
+            let mut out = [0.0f64; 2];
+            for (s, out_s) in out.iter_mut().enumerate() {
+                let c = if s == 0 { c1 } else { c2 };
+                let ixl = ix.saturating_sub(1);
+                let ixr = (ix + 1).min(g.nx - 1);
+                let cl = self.conc(block, local, others, s, ixl, iz);
+                let cr = self.conc(block, local, others, s, ixr, iz);
+                let horizontal =
+                    model::KH * (cr - 2.0 * c + cl) / (dx * dx) + model::V * (cr - cl) / (2.0 * dx);
+                let cu = if iz + 1 < g.nz {
+                    self.conc(block, local, others, s, ix, iz + 1)
+                } else {
+                    c
+                };
+                let cd = if iz > 0 {
+                    self.conc(block, local, others, s, ix, iz - 1)
+                } else {
+                    c
+                };
+                let vertical = kv_up * (cu - c) - kv_down * (c - cd);
+                let r = if s == 0 { reaction.r1 } else { reaction.r2 };
+                *out_s = horizontal + vertical + r;
+            }
+            (out[0], out[1])
+        }
+
+        /// The local nonlinear residual `G(y)_p = y_p − y_prev_p − h·f_p` of
+        /// every unknown of the strip, at time `t`.
+        fn local_g(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            t: f64,
+        ) -> Vec<f64> {
+            let rows = self.strip.range(block);
+            let nx = self.geometry.nx;
+            let mut g = vec![0.0; local.len()];
+            for (local_row, iz) in rows.clone().enumerate() {
+                for ix in 0..nx {
+                    let (f1, f2) = self.f_point(block, local, others, ix, iz, t);
+                    for (s, f) in [f1, f2].into_iter().enumerate() {
+                        let p = (local_row * nx + ix) * 2 + s;
+                        let prev = self.y_prev[self.geometry.index(s, ix, iz)];
+                        g[p] = local[p] - prev - self.dt * f;
+                    }
+                }
+            }
+            g
+        }
+
+        /// The local Newton Jacobian `I − h·∂f/∂y_local` of the strip at
+        /// time `t`, assembled from triplets.
+        fn local_jacobian(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            t: f64,
+        ) -> CsrMatrix {
+            let rows = self.strip.range(block);
+            let g = &self.geometry;
+            let nx = g.nx;
+            let dx = g.dx();
+            let dz = g.dz();
+            let n_local = local.len();
+            let h = self.dt;
+            let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(n_local * 8);
+            let idx_local = |local_row: usize, ix: usize, s: usize| (local_row * nx + ix) * 2 + s;
+            for (local_row, iz) in rows.clone().enumerate() {
+                let z = g.z(iz);
+                let kv_up = if iz + 1 < g.nz {
+                    model::kv(z + dz / 2.0) / (dz * dz)
+                } else {
+                    0.0
+                };
+                let kv_down = if iz > 0 {
+                    model::kv(z - dz / 2.0) / (dz * dz)
+                } else {
+                    0.0
+                };
+                for ix in 0..nx {
+                    let c1 = self.conc(block, local, others, 0, ix, iz);
+                    let c2 = self.conc(block, local, others, 1, ix, iz);
+                    let rj = model::reaction_jacobian(c1, c2, t);
+                    for s in 0..2 {
+                        let p = idx_local(local_row, ix, s);
+                        let mut diag_transport = -2.0 * model::KH / (dx * dx);
+                        let a_left = model::KH / (dx * dx) - model::V / (2.0 * dx);
+                        let a_right = model::KH / (dx * dx) + model::V / (2.0 * dx);
+                        if ix > 0 {
+                            triplets.push((p, idx_local(local_row, ix - 1, s), -h * a_left));
+                        } else {
+                            diag_transport += a_left;
+                        }
+                        if ix + 1 < nx {
+                            triplets.push((p, idx_local(local_row, ix + 1, s), -h * a_right));
+                        } else {
+                            diag_transport += a_right;
+                        }
+                        diag_transport -= kv_up + kv_down;
+                        if iz + 1 < g.nz && rows.contains(&(iz + 1)) {
+                            triplets.push((p, idx_local(local_row + 1, ix, s), -h * kv_up));
+                        }
+                        if iz > 0 && rows.contains(&(iz - 1)) {
+                            triplets.push((p, idx_local(local_row - 1, ix, s), -h * kv_down));
+                        }
+                        let (drs_dc1, drs_dc2) = if s == 0 {
+                            (rj.dr1_dc1, rj.dr1_dc2)
+                        } else {
+                            (rj.dr2_dc1, rj.dr2_dc2)
+                        };
+                        let same = if s == 0 { drs_dc1 } else { drs_dc2 };
+                        let cross = if s == 0 { drs_dc2 } else { drs_dc1 };
+                        let cross_col = idx_local(local_row, ix, 1 - s);
+                        triplets.push((p, p, 1.0 - h * (diag_transport + same)));
+                        triplets.push((p, cross_col, -h * cross));
+                    }
+                }
+            }
+            CsrMatrix::from_triplets(n_local, n_local, triplets)
+        }
+
+        /// One Newton iteration of the strip at time `t`, the reference way:
+        /// the new values and the update residual.
+        fn reference_update(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            t: f64,
+        ) -> (Vec<f64>, f64) {
+            let g = self.local_g(block, local, others, t);
+            let jac = self.local_jacobian(block, local, others, t);
+            let rhs: Vec<f64> = g.iter().map(|v| -v).collect();
+            let (delta, _outcome) = self.gmres.solve_from_zero(&jac, &rhs);
+            let values = local.iter().zip(&delta).map(|(y, d)| y + d).collect();
+            let mut residual = 0.0f64;
+            for (p, d) in delta.iter().enumerate() {
+                let scale = if p % 2 == 0 {
+                    model::C1_SCALE
+                } else {
+                    model::C2_SCALE
+                };
+                residual = residual.max(d.abs() / scale);
+            }
+            (values, residual)
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every block's update equals the reference bit for bit, over three
+    /// consecutive time steps, with a full view and with one neighbour
+    /// absent (so the stencil falls back to the previous step's row). The
+    /// local values and the neighbours' rows are perturbed away from the
+    /// previous state, so each of the three row sources is told apart.
+    #[test]
+    fn updates_are_bit_identical_to_the_reference() {
+        let inexact = GmresParams {
+            restart: 6,
+            tol: 1e-2,
+            abs_tol: 1e-14,
+            max_restarts: 1,
+        };
+        let cases = [
+            (12, 12, 1, GmresParams::default()),
+            (12, 12, 3, GmresParams::default()),
+            (12, 12, 3, inexact),
+            (30, 31, 4, inexact),
+            (100, 100, 10, inexact),
+        ];
+        let dt = 180.0;
+        for (nx, nz, blocks, params) in cases {
+            let g = GridGeometry::new(nx, nz);
+            let mut y = g.initial_state();
+            for step in 0..3 {
+                let t = dt * (step + 1) as f64;
+                let k = ChemicalStepKernel::new(
+                    g,
+                    blocks,
+                    y.clone(),
+                    t,
+                    dt,
+                    params,
+                    StepCostModel::default(),
+                );
+                let locals: Vec<Vec<f64>> = (0..blocks)
+                    .map(|b| {
+                        let mut v = k.initial_block(b);
+                        for (p, vp) in v.iter_mut().enumerate() {
+                            *vp *= 1.0 + 1e-3 * ((p + 3 * b) % 7) as f64;
+                        }
+                        v
+                    })
+                    .collect();
+                let mut full = DependencyView::new(blocks);
+                for (b, v) in locals.iter().enumerate() {
+                    full.set(b, v.clone());
+                }
+                let mut next = Vec::with_capacity(y.len());
+                for (b, local) in locals.iter().enumerate() {
+                    let mut partial = full.clone();
+                    let absent = if b > 0 { b - 1 } else { b + 1 };
+                    if absent < blocks {
+                        partial = DependencyView::new(blocks);
+                        for (other, v) in locals.iter().enumerate() {
+                            if other != absent {
+                                partial.set(other, v.clone());
+                            }
+                        }
+                    }
+                    for (name, view) in [("full", &full), ("one absent", &partial)] {
+                        let (want, want_residual) = k.reference_update(b, local, view, t);
+                        let mut got = vec![0.0; local.len()];
+                        let update = k.update_block_into(b, local, view, &mut got);
+                        let case = format!("{nx}x{nz}/{blocks} step {step} block {b} {name}");
+                        assert_eq!(bits(&got), bits(&want), "{case}: values");
+                        assert_eq!(
+                            update.residual.to_bits(),
+                            want_residual.to_bits(),
+                            "{case}: residual"
+                        );
+                        if name == "full" {
+                            next.extend_from_slice(&got);
+                        }
+                    }
+                }
+                y = next;
+            }
+        }
+    }
+
+    #[test]
+    fn one_pattern_per_distinct_strip_height() {
+        let g = GridGeometry::new(30, 31);
+        let k = ChemicalStepKernel::new(
+            g,
+            4,
+            g.initial_state(),
+            T_NEXT,
+            180.0,
+            GmresParams::default(),
+            StepCostModel::default(),
+        );
+        // 31 rows over 4 strips: 8, 8, 8, 7
+        let rows: Vec<usize> = k.patterns.iter().map(|p| p.nrows() / 60).collect();
+        assert_eq!(rows, vec![7, 8]);
+        // 6 entries per unknown, less the missing neighbours: one per
+        // unknown at each x edge, one per unknown of the strip's end rows
+        let pattern = &k.patterns[1];
+        assert_eq!(pattern.nnz(), 480 * 6 - 2 * 2 * 8 - 2 * 60);
     }
 
     #[test]
@@ -553,7 +969,7 @@ mod tests {
         assert!(report.iterations[0] < 50, "Newton should converge quickly");
         // The implicit Euler solution must satisfy G(y) ≈ 0.
         let view = DependencyView::from_initial(&k);
-        let g = k.local_g(0, &report.solution, &view);
+        let g = k.local_g(0, &report.solution, &view, T_NEXT);
         let scaled_norm = g
             .iter()
             .enumerate()

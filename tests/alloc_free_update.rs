@@ -1,7 +1,9 @@
-//! The sparse kernel's block update never touches the heap once its thread
-//! is warm: `SparseLinearProblem::update_block_into` gathers into per-thread
-//! scratch and solves into the caller's buffer, so after the first call on a
-//! thread every further call must allocate nothing.
+//! A solver kernel's block update never touches the heap once its thread is
+//! warm: `SparseLinearProblem::update_block_into` gathers into per-thread
+//! scratch and solves into the caller's buffer, and
+//! `ChemicalStepKernel::update_block_into` writes its Newton system and runs
+//! GMRES in per-thread scratch, so after the first call on a thread every
+//! further call must allocate nothing.
 //!
 //! And a run's start-up allocates in proportion to the dependency edges, not
 //! to blocks²: a one-sweep run of a ring four times larger allocates about
@@ -12,11 +14,12 @@
 //! The allocation count is kept per thread, so whatever the test harness
 //! allocates on its own threads is not attributed to the kernel; the byte
 //! count is process-wide (the threaded runtime allocates on its workers), so
-//! the two tests take turns on a lock.
+//! the tests take turns on a lock.
 
 use aiac::core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate};
 use aiac::prelude::*;
 use aiac::service::job::ServiceRing;
+use aiac::solvers::chemical::{ChemicalParams, ChemicalProblem};
 use aiac::solvers::sparse_linear::SparseLinearParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,32 +71,55 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-#[test]
-fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
-    let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
-    let blocks = problem.num_blocks();
-    let view = DependencyView::from_initial(&problem);
-    let mut locals: Vec<Vec<f64>> = (0..blocks).map(|b| problem.initial_block(b)).collect();
+/// Heap allocations this thread makes in three sweeps of updates of every
+/// block of `kernel`, after one update of block `first` has warmed it.
+fn warm_update_allocations(kernel: &dyn IterativeKernel, first: usize) -> usize {
+    let blocks = kernel.num_blocks();
+    let view = DependencyView::from_initial(kernel);
+    let mut locals: Vec<Vec<f64>> = (0..blocks).map(|b| kernel.initial_block(b)).collect();
     let mut outs: Vec<Vec<f64>> = locals.clone();
 
-    // first call on this thread: the scratch is sized for the largest block
-    problem.update_block_into(0, &locals[0], &view, &mut outs[0]);
+    kernel.update_block_into(first, &locals[first], &view, &mut outs[first]);
 
     let before = ALLOCATIONS.with(Cell::get);
     for _sweep in 0..3 {
         for b in 0..blocks {
-            let update = problem.update_block_into(b, &locals[b], &view, &mut outs[b]);
+            let update = kernel.update_block_into(b, &locals[b], &view, &mut outs[b]);
             assert!(update.residual.is_finite());
         }
         std::mem::swap(&mut locals, &mut outs);
     }
-    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
+    // the first call sizes the scratch for the largest block
+    let allocated = warm_update_allocations(&problem, 0);
     assert_eq!(
         allocated,
         0,
         "{allocated} heap allocations in {} warm block updates",
-        3 * blocks
+        3 * problem.num_blocks()
+    );
+}
+
+#[test]
+fn chemical_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    // 31 z-rows in 4 strips of 8, 8, 8 and 7 rows: two Jacobian patterns
+    let problem = ChemicalProblem::new(ChemicalParams::paper_scaled(30, 31, 4));
+    let kernel = problem.step_kernel(problem.initial_state(), 0);
+    // Warm up on the short last strip: the first call must size the Newton
+    // scratch for the tallest strip, not for the block it is updating.
+    let allocated = warm_update_allocations(&kernel, 3);
+    assert_eq!(
+        allocated,
+        0,
+        "{allocated} heap allocations in {} warm block updates",
+        3 * kernel.num_blocks()
     );
 }
 

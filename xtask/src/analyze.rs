@@ -40,9 +40,9 @@
 //!   track name passed to `tracer.recorder(...)`, which is not an emit.
 //! * **R9 `no-alloc-in-kernel-update`** — inside the body of an
 //!   `update_block_into` under `crates/solvers/src`, `vec![`, `Vec::new`,
-//!   `Vec::with_capacity`, `.to_vec()` and `.collect()` require an
-//!   `// alloc:` justification: the runtimes call it once per block per
-//!   iteration, and the sparse kernel's is allocation-free.
+//!   `Vec::with_capacity`, `.to_vec()` and `.collect()` are violations, with
+//!   no escape: the runtimes call it once per block per iteration, and every
+//!   kernel's is allocation-free (per-thread scratch is the way to a buffer).
 //!
 //! `cargo xtask analyze --self-test` seeds one bug per class into a scratch
 //! copy of the tree — a weakened memory ordering, a dropped reclamation, a
@@ -689,10 +689,10 @@ fn rule_no_unwrap_on_queue_paths(views: &BTreeMap<String, FileView>, out: &mut V
     }
 }
 
-/// R9: a kernel's `update_block_into` body allocates only where it says why.
-/// The body is every line from the `fn update_block_into` line to the one
-/// that closes its braces (strings and comments are already blanked, so the
-/// braces counted are code).
+/// R9: a kernel's `update_block_into` body does not allocate. The body is
+/// every line from the `fn update_block_into` line to the one that closes its
+/// braces (strings and comments are already blanked, so the braces counted
+/// are code).
 fn rule_no_alloc_in_kernel_update(views: &BTreeMap<String, FileView>, out: &mut Vec<Violation>) {
     const ALLOC_TOKENS: [&str; 6] = [
         "vec![",
@@ -715,16 +715,13 @@ fn rule_no_alloc_in_kernel_update(views: &BTreeMap<String, FileView>, out: &mut 
             if !in_fn {
                 continue;
             }
-            if depth > 0
-                && ALLOC_TOKENS.iter().any(|t| line.contains(t))
-                && view.annotation(i, "// alloc:").is_none()
-            {
+            if depth > 0 && ALLOC_TOKENS.iter().any(|t| line.contains(t)) {
                 out.push(Violation {
                     file: rel.clone(),
                     line: i + 1,
                     rule: "R9",
-                    msg: "allocation inside `update_block_into` without an `// alloc:` \
-                          justification (reuse scratch, or say why this one is needed)"
+                    msg: "allocation inside `update_block_into` \
+                          (keep the buffer in per-thread scratch instead)"
                         .into(),
                 });
             }
