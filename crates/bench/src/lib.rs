@@ -20,10 +20,6 @@
 //! experiment — platform, environments, algorithms, measurement — follows the
 //! paper; `EXPERIMENTS.md` records the measured numbers next to the published
 //! ones.
-//!
-//! Criterion micro-benchmarks for the individual components (SpMV, GMRES,
-//! runtime overhead, threaded sync-vs-async, simulation throughput) live in
-//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -188,27 +188,12 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_values(&self.values, x, y);
-    }
-
-    /// Sparse matrix-vector product `y = A·x` where `A` has this matrix's
-    /// pattern and the caller's `values`, one per stored entry in storage
-    /// order. A kernel that refills the numbers of a fixed pattern keeps
-    /// them in its own buffer and multiplies through here; the row loop is
-    /// [`CsrMatrix::spmv`]'s, so the result is bit-identical to building the
-    /// matrix with those values and calling `spmv`.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != nnz`, `x.len() != ncols` or
-    /// `y.len() != nrows`.
-    pub fn spmv_values(&self, values: &[f64], x: &[f64], y: &mut [f64]) {
-        assert_eq!(values.len(), self.nnz(), "spmv: values length mismatch");
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
         for (i, yi) in y.iter_mut().enumerate() {
             let lo = self.row_ptr[i];
             let hi = self.row_ptr[i + 1];
-            *yi = Self::dot_row(&values[lo..hi], &self.col_idx[lo..hi], x);
+            *yi = Self::dot_row(&self.values[lo..hi], &self.col_idx[lo..hi], x);
         }
     }
 
@@ -409,18 +394,6 @@ mod tests {
         let m = small();
         let y = m.spmv_alloc(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![6.0, 12.0, 23.0]);
-    }
-
-    #[test]
-    fn spmv_values_multiplies_caller_values_over_the_pattern() {
-        let m = small();
-        let mut scaled = m.clone();
-        scaled.scale(-0.5);
-        let values: Vec<f64> = m.triplets().map(|(_, _, v)| -0.5 * v).collect();
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [0.0; 3];
-        m.spmv_values(&values, &x, &mut y);
-        assert_eq!(y.to_vec(), scaled.spmv_alloc(&x));
     }
 
     #[test]

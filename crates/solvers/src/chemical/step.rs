@@ -14,22 +14,22 @@
 //! A block update does O(non-zeros) work and allocates nothing once its
 //! thread is warm. Everything that does not change within a time step is
 //! built by [`ChemicalStepKernel::new`]: the diurnal coefficients at the
-//! step's end time, the vertical diffusion coefficients of every z-row, and
-//! one CSR Jacobian pattern per distinct strip height. A strip's Jacobian
-//! row for one unknown lists its columns in a fixed order (down, left, the
-//! other species when it comes first, the diagonal, the other species when
-//! it comes second, right, up), which is already the sorted order, so an
-//! update writes the Newton right-hand side and the Jacobian values in one
-//! pass over the strip's rows, straight into per-thread scratch, and GMRES
-//! solves over the pattern with those values ([`CsrMatrix::spmv_values`])
-//! in a reused [`GmresWorkspace`].
+//! step's end time and the vertical diffusion coefficients of every z-row.
+//! A strip's Jacobian row for one unknown lists its columns in a fixed
+//! order (down, left, the other species when it comes first, the diagonal,
+//! the other species when it comes second, right, up), so an update writes
+//! the Newton right-hand side and the Jacobian values in one pass over the
+//! strip's rows, straight into per-thread scratch, and GMRES solves in a
+//! reused [`GmresWorkspace`] over a matvec that reads each row's columns
+//! from its position in the strip (`StripJacobian`) rather than from a CSR
+//! index array. Its rows sum in the CSR row loop's grouping, so the result
+//! is bit-identical to a CSR product of the same values.
 
 use super::model;
 use aiac_core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate, IterativeKernel};
-use aiac_linalg::csr::CsrMatrix;
 use aiac_linalg::decomp::Partition;
 use aiac_linalg::gmres::{Gmres, GmresParams, GmresWorkspace};
-use aiac_linalg::operator::FnOperator;
+use aiac_linalg::operator::LinearOperator;
 use std::cell::RefCell;
 
 /// Geometry of the discretised domain.
@@ -157,9 +157,6 @@ pub struct ChemicalStepKernel {
     /// Time-step length h.
     dt: f64,
     gmres: Gmres,
-    /// The Jacobian pattern of every distinct strip height, shortest first;
-    /// the values each holds are unused.
-    patterns: Vec<CsrMatrix>,
     /// Virtual cost model for the simulated runtime.
     cost: StepCostModel,
 }
@@ -170,7 +167,7 @@ struct NewtonScratch {
     rhs: Vec<f64>,
     /// The Newton correction Δ.
     delta: Vec<f64>,
-    /// The Jacobian values, in the order of the strip's pattern.
+    /// The Jacobian values, in the order [`StripJacobian`] reads them.
     jacobian: Vec<f64>,
     gmres: GmresWorkspace,
 }
@@ -207,44 +204,137 @@ thread_local! {
     static SCRATCH: RefCell<NewtonScratch> = const { RefCell::new(NewtonScratch::new()) };
 }
 
-/// The Jacobian pattern of a strip of `height` z-rows of `nx` points: each
-/// unknown couples to the same species one row down, one column left, one
-/// column right and one row up (where that neighbour is inside the strip),
-/// and to the other species at its own point.
-fn jacobian_pattern(nx: usize, height: usize) -> CsrMatrix {
-    let n = height * nx * 2;
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(n * 6);
-    row_ptr.push(0);
-    for row in 0..height {
-        for ix in 0..nx {
-            for s in 0..2 {
-                let p = (row * nx + ix) * 2 + s;
-                if row > 0 {
-                    col_idx.push(p - 2 * nx);
-                }
-                if ix > 0 {
-                    col_idx.push(p - 2);
-                }
-                if s == 1 {
-                    col_idx.push(p - 1);
-                }
-                col_idx.push(p);
-                if s == 0 {
-                    col_idx.push(p + 1);
-                }
-                if ix + 1 < nx {
-                    col_idx.push(p + 2);
-                }
-                if row + 1 < height {
-                    col_idx.push(p + 2 * nx);
-                }
-                row_ptr.push(col_idx.len());
+/// Non-zeros of the Jacobian of a strip of `height` z-rows of `nx` points:
+/// each unknown couples to both species at its own point, to the same
+/// species one column left and right except at the x edges, and one row
+/// down and up except at the strip's end rows.
+fn jacobian_nnz(nx: usize, height: usize) -> usize {
+    4 * nx * height + 4 * height * (nx - 1) + 4 * nx * (height - 1)
+}
+
+/// The Jacobian of one strip as GMRES's operator: `y = J·x` over the values
+/// [`ChemicalStepKernel::newton_system`] writes, with every row's columns
+/// read from its position in the strip rather than from an index array.
+///
+/// A row lists its entries as down, left, the point's two species in column
+/// order, right, up, leaving out the neighbours it lacks: the x edges have
+/// no left or right, the strip's end rows no down or up. For both species
+/// the two middle entries multiply `x[q]` and `x[q + 1]`, where `q` is the
+/// point's first unknown. Each row sums its products exactly as
+/// [`CsrMatrix::spmv`](aiac_linalg::csr::CsrMatrix::spmv) does, so the
+/// product is `to_bits`-identical to that of a CSR matrix holding the same
+/// values.
+struct StripJacobian<'a> {
+    nx: usize,
+    values: &'a [f64],
+    dim: usize,
+}
+
+impl LinearOperator for StripJacobian<'_> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.dim, "strip Jacobian: x length mismatch");
+        assert_eq!(y.len(), self.dim, "strip Jacobian: y length mismatch");
+        let row_len = 2 * self.nx;
+        let height = self.dim / row_len;
+        let mut values = self.values;
+        for (r, y) in y.chunks_exact_mut(row_len).enumerate() {
+            let base = r * row_len;
+            values = match (r > 0, r + 1 < height) {
+                (false, false) => z_row::<false, false>(values, x, base, y),
+                (false, true) => z_row::<false, true>(values, x, base, y),
+                (true, true) => z_row::<true, true>(values, x, base, y),
+                (true, false) => z_row::<true, false>(values, x, base, y),
+            };
+        }
+        debug_assert!(values.is_empty(), "the values must match the strip");
+    }
+}
+
+/// `y = J·x` over the z-row whose first unknown is `x[base]`, `DOWN` and
+/// `UP` saying whether the strip has a row below and above it. Returns the
+/// values of the rows that follow.
+fn z_row<'v, const DOWN: bool, const UP: bool>(
+    values: &'v [f64],
+    x: &[f64],
+    base: usize,
+    y: &mut [f64],
+) -> &'v [f64] {
+    let row_len = y.len();
+    // the entries of a row at an x edge; an interior row has one more
+    let edge = 3 + usize::from(DOWN) + usize::from(UP);
+    let (first, values) = values.split_at(2 * edge);
+    let (interior, values) = values.split_at((edge + 1) * (row_len - 4));
+    let (last, rest) = values.split_at(2 * edge);
+    let end = row_len - 2;
+    rows::<DOWN, false, true, UP>(first, x, base, row_len, &mut y[..2]);
+    rows::<DOWN, true, true, UP>(interior, x, base + 2, row_len, &mut y[2..end]);
+    rows::<DOWN, true, false, UP>(last, x, base + end, row_len, &mut y[end..]);
+    rest
+}
+
+/// `y = J·x` over consecutive rows of one class, the first of which is
+/// unknown `first`, a point's first species. The rows couple to the
+/// neighbours `D`own, `L`eft, `R`ight and `U`p that are set, `row_len`
+/// unknowns apart vertically.
+#[inline(always)]
+fn rows<const D: bool, const L: bool, const R: bool, const U: bool>(
+    values: &[f64],
+    x: &[f64],
+    first: usize,
+    row_len: usize,
+    y: &mut [f64],
+) {
+    let len = 2 + usize::from(D) + usize::from(L) + usize::from(R) + usize::from(U);
+    let n = y.len();
+    let own = &x[first..first + n];
+    // a neighbour the rows lack is never read; their own unknowns stand in
+    let down = if D { &x[first - row_len..][..n] } else { own };
+    let left = if L { &x[first - 2..][..n] } else { own };
+    let right = if R { &x[first + 2..][..n] } else { own };
+    let up = if U { &x[first + row_len..][..n] } else { own };
+    let (points, _) = own.as_chunks::<2>();
+    for (i, (((((y, e), &d), &l), &r), &u)) in y
+        .iter_mut()
+        .zip(values.chunks_exact(len))
+        .zip(down)
+        .zip(left)
+        .zip(right)
+        .zip(up)
+        .enumerate()
+    {
+        let [c0, c1] = points[i / 2];
+        let mut terms = [0.0; 6];
+        let mut k = 0;
+        for (couples, xc) in [(D, d), (L, l), (true, c0), (true, c1), (R, r), (U, u)] {
+            if couples {
+                terms[k] = e[k] * xc;
+                k += 1;
             }
         }
+        *y = row_sum(&terms[..k]);
     }
-    let nnz = col_idx.len();
-    CsrMatrix::from_raw(n, n, row_ptr, col_idx, vec![0.0; nnz])
+}
+
+/// The sum of one row's products in the grouping of the CSR row loop: four
+/// entries in two pairs, then the tail left to right. That loop's
+/// accumulators start at `+0.0`, so it never returns `−0.0`; the final
+/// `+ 0.0` turns the only other result this grouping can give, `−0.0`, into
+/// `+0.0`, which makes the sum bit-identical without adding to zero per
+/// term.
+#[inline(always)]
+fn row_sum(terms: &[f64]) -> f64 {
+    let sum = match *terms {
+        [a, b, c] => (a + b) + c,
+        [a, b, c, d] => (a + b) + (c + d),
+        [a, b, c, d, e] => ((a + b) + (c + d)) + e,
+        [a, b, c, d, e, f] => ((a + b) + (c + d)) + (e + f),
+        _ => unreachable!("a strip Jacobian row has 3 to 6 entries"),
+    };
+    sum + 0.0
 }
 
 impl ChemicalStepKernel {
@@ -286,9 +376,6 @@ impl ChemicalStepKernel {
                 (up, down)
             })
             .collect();
-        let mut heights: Vec<usize> = (0..blocks).map(|b| strip.size(b)).collect();
-        heights.sort_unstable();
-        heights.dedup();
         Self {
             geometry,
             strip,
@@ -297,10 +384,6 @@ impl ChemicalStepKernel {
             kv,
             dt,
             gmres: Gmres::new(gmres),
-            patterns: heights
-                .into_iter()
-                .map(|h| jacobian_pattern(geometry.nx, h))
-                .collect(),
             cost,
         }
     }
@@ -317,10 +400,11 @@ impl ChemicalStepKernel {
 
     /// Writes the Newton system of one strip: the right-hand side
     /// `−G(y)_p = −(y_p − y_prev_p − h·f_p)` into `rhs`, and the local
-    /// Jacobian `I − h·∂f/∂y_local` into `jacobian` in the order of the
-    /// strip's pattern. The neighbour strips' values are constants (the
-    /// multi-splitting approximation): the latest received boundary row,
-    /// or the previous time step's when no message has arrived yet.
+    /// Jacobian `I − h·∂f/∂y_local` into `jacobian` in the order
+    /// [`StripJacobian`] reads it. The neighbour strips' values are
+    /// constants (the multi-splitting approximation): the latest received
+    /// boundary row, or the previous time step's when no message has
+    /// arrived yet.
     fn newton_system(
         &self,
         block: usize,
@@ -426,7 +510,7 @@ impl ChemicalStepKernel {
                 }
             }
         }
-        debug_assert_eq!(k, jacobian.len(), "the fill must match the pattern");
+        debug_assert_eq!(k, jacobian.len(), "the fill must match the strip");
     }
 }
 
@@ -477,16 +561,16 @@ impl IterativeKernel for ChemicalStepKernel {
     ) -> InPlaceUpdate {
         // One Newton iteration on the strip: solve (I − h·J_f)·Δ = −G.
         let n = local.len();
-        let pattern = self
-            .patterns
-            .iter()
-            .find(|p| p.nrows() == n)
-            .expect("a pattern for every strip height");
-        let largest = &self.patterns[self.patterns.len() - 1];
+        let nx = self.geometry.nx;
         let residual = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            // sized for the tallest strip, so no later block grows it
-            scratch.reserve(largest.nrows(), largest.nnz(), self.gmres.params().restart);
+            // sized for the tallest strip, which the balanced partition puts
+            // first, so no later block grows it
+            scratch.reserve(
+                self.block_len(0),
+                jacobian_nnz(nx, self.strip.size(0)),
+                self.gmres.params().restart,
+            );
             let NewtonScratch {
                 rhs,
                 delta,
@@ -494,12 +578,13 @@ impl IterativeKernel for ChemicalStepKernel {
                 gmres,
             } = &mut *scratch;
             let (rhs, delta) = (&mut rhs[..n], &mut delta[..n]);
-            let jacobian = &mut jacobian[..pattern.nnz()];
+            let jacobian = &mut jacobian[..jacobian_nnz(nx, self.strip.size(block))];
             self.newton_system(block, local, others, rhs, jacobian);
-            let jacobian = &*jacobian;
-            let op = FnOperator::new(n, |x: &[f64], y: &mut [f64]| {
-                pattern.spmv_values(jacobian, x, y)
-            });
+            let op = StripJacobian {
+                nx,
+                values: jacobian,
+                dim: n,
+            };
             delta.fill(0.0);
             self.gmres.solve_into(&op, rhs, delta, gmres);
             for ((oi, y), d) in out.iter_mut().zip(local).zip(&*delta) {
@@ -566,6 +651,7 @@ mod tests {
     use super::*;
     use aiac_core::config::RunConfig;
     use aiac_core::runtime::sequential::SequentialRuntime;
+    use aiac_linalg::csr::CsrMatrix;
 
     /// The step's end time in the kernels built by [`kernel`].
     const T_NEXT: f64 = 180.0;
@@ -802,8 +888,89 @@ mod tests {
         }
     }
 
+    /// The strip Jacobian as a CSR matrix, each value drawn from `value`
+    /// in the order [`StripJacobian`] reads them: each unknown couples to
+    /// the same species one row down, one column left, one column right
+    /// and one row up (where that neighbour is inside the strip), and to
+    /// the other species at its own point.
+    fn jacobian_pattern(nx: usize, height: usize, mut value: impl FnMut() -> f64) -> CsrMatrix {
+        let n = height * nx * 2;
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for row in 0..height {
+            for ix in 0..nx {
+                for s in 0..2 {
+                    let p = (row * nx + ix) * 2 + s;
+                    if row > 0 {
+                        col_idx.push(p - 2 * nx);
+                    }
+                    if ix > 0 {
+                        col_idx.push(p - 2);
+                    }
+                    if s == 1 {
+                        col_idx.push(p - 1);
+                    }
+                    col_idx.push(p);
+                    if s == 0 {
+                        col_idx.push(p + 1);
+                    }
+                    if ix + 1 < nx {
+                        col_idx.push(p + 2);
+                    }
+                    if row + 1 < height {
+                        col_idx.push(p + 2 * nx);
+                    }
+                    row_ptr.push(col_idx.len());
+                }
+            }
+        }
+        let values = col_idx.iter().map(|_| value()).collect();
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
+    }
+
     fn bits(x: &[f64]) -> Vec<u64> {
         x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The stencil product equals the CSR product of the same values bit
+    /// for bit on every row class — both x edges, interior columns, the
+    /// strip's end rows and height-1 strips, so rows of 3 to 6 entries —
+    /// with values and x drawn from zeros of both signs, one, and random
+    /// numbers of both signs.
+    #[test]
+    fn the_stencil_matvec_is_bit_identical_to_the_csr_spmv() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            match r % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0,
+                _ => (r >> 11) as f64 / (1u64 << 52) as f64 - 1.0,
+            }
+        };
+        for nx in 3..=8 {
+            for height in 1..=5 {
+                for trial in 0..20 {
+                    let csr = jacobian_pattern(nx, height, &mut draw);
+                    assert_eq!(csr.nnz(), jacobian_nnz(nx, height));
+                    let values: Vec<f64> = csr.triplets().map(|(_, _, v)| v).collect();
+                    let x: Vec<f64> = (0..csr.nrows()).map(|_| draw()).collect();
+                    let op = StripJacobian {
+                        nx,
+                        values: &values,
+                        dim: x.len(),
+                    };
+                    let got = op.apply_alloc(&x);
+                    let want = csr.spmv_alloc(&x);
+                    assert_eq!(bits(&got), bits(&want), "{nx}x{height} trial {trial}");
+                }
+            }
+        }
     }
 
     /// Every block's update equals the reference bit for bit, over three
@@ -823,6 +990,12 @@ mod tests {
             (12, 12, 1, GmresParams::default()),
             (12, 12, 3, GmresParams::default()),
             (12, 12, 3, inexact),
+            // height-1 strips: rows of 3 and 4 entries
+            (12, 12, 12, inexact),
+            // height 2: every row is a strip end row
+            (12, 12, 6, inexact),
+            // one interior column
+            (3, 10, 3, GmresParams::default()),
             (30, 31, 4, inexact),
             (100, 100, 10, inexact),
         ];
@@ -888,24 +1061,14 @@ mod tests {
     }
 
     #[test]
-    fn one_pattern_per_distinct_strip_height() {
-        let g = GridGeometry::new(30, 31);
-        let k = ChemicalStepKernel::new(
-            g,
-            4,
-            g.initial_state(),
-            T_NEXT,
-            180.0,
-            GmresParams::default(),
-            StepCostModel::default(),
-        );
-        // 31 rows over 4 strips: 8, 8, 8, 7
-        let rows: Vec<usize> = k.patterns.iter().map(|p| p.nrows() / 60).collect();
-        assert_eq!(rows, vec![7, 8]);
-        // 6 entries per unknown, less the missing neighbours: one per
-        // unknown at each x edge, one per unknown of the strip's end rows
-        let pattern = &k.patterns[1];
-        assert_eq!(pattern.nnz(), 480 * 6 - 2 * 2 * 8 - 2 * 60);
+    fn the_non_zero_count_leaves_out_the_missing_neighbours() {
+        // 6 entries per unknown, less one per unknown at each x edge and
+        // one per unknown of the strip's end rows
+        assert_eq!(jacobian_nnz(30, 8), 480 * 6 - 2 * 2 * 8 - 2 * 60);
+        // a 1 000-point strip
+        assert_eq!(jacobian_nnz(100, 10), 11_560);
+        // height 1: neither down nor up
+        assert_eq!(jacobian_nnz(3, 1), 6 * 6 - 2 * 2 - 6 * 2);
     }
 
     #[test]

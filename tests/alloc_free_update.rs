@@ -109,7 +109,7 @@ fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
 #[test]
 fn chemical_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
     let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
-    // 31 z-rows in 4 strips of 8, 8, 8 and 7 rows: two Jacobian patterns
+    // 31 z-rows in 4 strips of 8, 8, 8 and 7 rows: two strip heights
     let problem = ChemicalProblem::new(ChemicalParams::paper_scaled(30, 31, 4));
     let kernel = problem.step_kernel(problem.initial_state(), 0);
     // Warm up on the short last strip: the first call must size the Newton
