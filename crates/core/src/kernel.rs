@@ -140,13 +140,13 @@ impl DependencyView {
         self.slots[position] = Some(values);
     }
 
-    /// Replaces the data of every tracked block `b` by `latest[b]` — one
-    /// Jacobi sweep's delivery, without a lookup per block.
-    pub(crate) fn refresh_from(&mut self, latest: &[Payload]) {
+    /// Replaces the data of every tracked block `b` by `latest(b)` — one
+    /// Jacobi sweep's delivery, without a lookup per block. `latest` hands
+    /// over a reference to the producer's front buffer, not a copy.
+    pub(crate) fn refresh_from(&mut self, mut latest: impl FnMut(usize) -> Payload) {
         for (position, slot) in self.slots.iter_mut().enumerate() {
             let block = self.tracked.as_ref().map_or(position, |t| t[position]);
-            // copy: refcount bump — the slot shares the producer's front buffer
-            *slot = Some(latest[block].clone());
+            *slot = Some(latest(block));
         }
     }
 

@@ -1,4 +1,6 @@
-//! Newest-wins coalescing mailboxes for the threaded executor.
+//! Newest-wins coalescing mailboxes: the data plane of the threaded
+//! executor's asynchronous pool. (Synchronous supersteps hand each block's
+//! front buffer over by reference and never use them.)
 //!
 //! The AIAC model (Section 1.2 of the paper) only ever consumes the *newest*
 //! available version of a dependency block: whenever several updates of the

@@ -69,7 +69,8 @@ impl SequentialRuntime {
             // is a refcount bump per block, not a copy.
             let snapshot: Vec<Payload> = blocks.iter().map(|b| b.values.clone()).collect();
             for state in blocks.iter_mut() {
-                state.view.refresh_from(&snapshot);
+                // copy: refcount bump — the slot shares the producer's front buffer
+                state.view.refresh_from(|b| snapshot[b].clone());
             }
             worst_residual = 0.0f64;
             for state in blocks.iter_mut() {

@@ -288,7 +288,8 @@ impl SimulatedRuntime {
             // block, not a copy).
             let snapshot: Vec<Payload> = states.iter().map(|s| s.values.clone()).collect();
             for state in states.iter_mut() {
-                state.view.refresh_from(&snapshot);
+                // copy: refcount bump — the slot shares the producer's front buffer
+                state.view.refresh_from(|b| snapshot[b].clone());
             }
             worst_residual = 0.0;
             for state in states.iter_mut() {

@@ -8,32 +8,35 @@
 //! * **Worker pool over one shared FIFO queue** — `RunConfig::num_workers`
 //!   OS threads (default: the machine's available parallelism, never more
 //!   than the block count) multiplex the `m` blocks as lightweight tasks.
-//!   Every ready block goes to the back of one `Mutex<VecDeque>` and every
+//!   In asynchronous mode every ready block goes to the back of one `Mutex<VecDeque>` and every
 //!   worker takes from its front; a worker that finds the queue empty
 //!   *parks* on a condition variable. FIFO order is what the algorithm
 //!   wants, not a compromise: a block runs again only after every block
 //!   queued before it has run, so its dependencies have had the chance to
 //!   publish and it does not repeat an iteration on the same inputs.
-//! * **Coalescing mailboxes** — block data travels through
-//!   [`super::mailbox::CoalescingMailboxes`]: one newest-wins slot per
+//! * **Coalescing mailboxes** — in asynchronous mode, block data travels
+//!   through [`super::mailbox::CoalescingMailboxes`]: one newest-wins slot per
 //!   dependency edge, so in-flight data storage is O(edges) regardless of how
 //!   far any producer runs ahead. This is exactly the AIAC model's semantics
 //!   ("the newest received values overwrite previous ones") enforced at the
 //!   transport layer.
 //! * **Control plane** — unchanged from the paper's centralized halting
-//!   procedure (Section 4.3): workers report local-convergence *state
-//!   changes* over a channel to the coordinator on the main thread, and the
-//!   coordinator broadcasts the stop order (here: a shared flag plus a
-//!   wake-everyone on the run queue) once every block is locally converged.
+//!   procedure (Section 4.3): asynchronous workers report local-convergence
+//!   *state changes* over a channel to the coordinator on the main thread,
+//!   and the coordinator broadcasts the stop order (here: a shared flag plus
+//!   a wake-everyone on the run queue) once every block is locally converged.
 //!
 //! The two execution modes keep their semantics:
 //!
-//! * **Synchronous mode (SISC)** — the pool runs barrier-separated
-//!   supersteps: every block is iterated (a Jacobi sweep reading the previous
-//!   iteration's values), the new iterates are exchanged through the
-//!   mailboxes, and block 0's owner evaluates the true global residual. The
-//!   iterates are bit-identical to the sequential sweep; the barrier idle
-//!   time is exactly the white space of Figure 1.
+//! * **Synchronous mode (SISC)** — each worker owns a contiguous run of
+//!   blocks and the pool runs barrier-separated supersteps: every block is
+//!   iterated (a Jacobi sweep reading the previous iteration's values) and
+//!   publishes its new front buffer by reference, then every view takes a
+//!   reference to its dependencies' published fronts, exactly as the
+//!   sequential sweep delivers them. Every worker evaluates the true global
+//!   residual from one slot per worker. No envelope, mailbox or run queue is
+//!   involved, and the iterates are bit-identical to the sequential sweep;
+//!   the barrier idle time is exactly the white space of Figure 1.
 //! * **Asynchronous mode (AIAC)** — blocks never wait: when a worker picks a
 //!   block it drains the block's mailboxes, iterates on whatever data it has,
 //!   publishes its new values and requeues itself, as in Figure 2. A locally
@@ -44,7 +47,7 @@ use crate::block::BlockState;
 use crate::config::{ExecutionMode, RunConfig};
 use crate::convergence::{GlobalDetector, LocalConvergence};
 use crate::depgraph::DependencyGraph;
-use crate::kernel::IterativeKernel;
+use crate::kernel::{IterativeKernel, Payload};
 use crate::message::Message;
 use crate::report::{RunError, RunReport};
 use crate::runtime::mailbox::{CoalescingMailboxes, MailboxStats};
@@ -55,7 +58,7 @@ use crate::runtime::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use aiac_obs::{Layer, TraceSnapshot, Tracer, TrackRecorder};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::VecDeque;
-use std::sync::{Barrier, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// What a worker tells the coordinator.
@@ -255,9 +258,9 @@ impl ThreadedRuntime {
     }
 
     /// Runs the kernel, reporting configuration and worker failures as a
-    /// [`RunError`] instead of panicking. A kernel that panics ends an
-    /// asynchronous run in [`RunError::MissingResults`] naming the blocks it
-    /// left unfinished; a synchronous run still re-raises the panic.
+    /// [`RunError`] instead of panicking. A kernel that panics ends the run,
+    /// in either mode, in [`RunError::MissingResults`] naming the blocks the
+    /// dead worker left unfinished.
     pub fn try_run(
         &self,
         kernel: &dyn IterativeKernel,
@@ -308,77 +311,74 @@ impl ThreadedRuntime {
         let started = Instant::now();
         let workers = config.effective_num_workers(m);
 
-        let mailboxes = CoalescingMailboxes::new(&graph);
-        // Worker `w` owns blocks `w, w + workers, w + 2·workers, …`: a static
-        // partition, so every block's floating-point trajectory is that of
-        // the sequential Jacobi sweep whatever the pool size.
+        let states = BlockState::for_run(kernel, &graph);
+        let pool = SyncPool {
+            kernel,
+            config,
+            graph: &graph,
+            fronts: states
+                .iter()
+                // copy: refcount bump — every block publishes its initial front
+                .map(|s| Mutex::new(s.values.clone()))
+                .collect(),
+            barrier: BreakableBarrier::new(workers),
+            worst_residuals: (0..workers)
+                .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
+                .collect(),
+            data_messages: AtomicU64::new(0),
+            data_bytes: AtomicU64::new(0),
+            results: (0..m).map(|_| Mutex::new(None)).collect(),
+        };
+        // Worker `w` owns the contiguous run of blocks with
+        // `id · workers / m == w`: a static partition, so every block's
+        // floating-point trajectory is that of the sequential Jacobi sweep
+        // whatever the pool size, and neighbouring blocks share a core.
         let mut owned: Vec<Vec<BlockState>> = (0..workers)
             .map(|_| Vec::with_capacity(m.div_ceil(workers)))
             .collect();
-        for state in BlockState::for_run(kernel, &graph) {
-            owned[state.id % workers].push(state);
+        for state in states {
+            owned[state.id * workers / m].push(state);
         }
-        let barrier = Barrier::new(workers);
-        let residuals: Vec<AtomicU64> = (0..m).map(|_| AtomicU64::new(0)).collect();
-        let stop = AtomicBool::new(false);
-        let data_messages = AtomicU64::new(0);
-        let data_bytes = AtomicU64::new(0);
-        let results: Vec<Mutex<Option<BlockOutcome>>> = (0..m).map(|_| Mutex::new(None)).collect();
 
-        crossbeam::scope(|scope| {
+        let joined = crossbeam::scope(|scope| {
             for (worker, states) in owned.into_iter().enumerate() {
-                let graph = &graph;
-                let mailboxes = &mailboxes;
-                let barrier = &barrier;
-                let residuals = &residuals;
-                let stop = &stop;
-                let data_messages = &data_messages;
-                let data_bytes = &data_bytes;
-                let results = &results;
-                scope.spawn(move |_| {
-                    sync_worker(
-                        kernel,
-                        config,
-                        worker,
-                        states,
-                        graph,
-                        mailboxes,
-                        barrier,
-                        residuals,
-                        stop,
-                        data_messages,
-                        data_bytes,
-                        results,
-                        tracer,
-                    );
-                });
+                let pool = &pool;
+                scope.spawn(move |_| pool.run_worker(worker, states, tracer));
             }
-        })
-        .expect("a synchronous worker thread panicked");
+        });
 
-        // ord: SeqCst — read after every worker joined; kept SeqCst so the proof stays trivial
-        let converged = stop.load(Ordering::SeqCst);
-        finalize_report(
+        let converged = pool.converged();
+        // A worker that panicked broke the barrier and left its blocks
+        // without results, so the failure surfaces here as `MissingResults`
+        // naming them.
+        let report = finalize_report(
             kernel,
             ExecutionMode::Synchronous,
             "threaded sync",
             started,
-            results
+            pool.results
                 .into_iter()
                 .map(|r| r.into_inner().unwrap())
                 .collect(),
             // ord: SeqCst — post-join counter snapshot
-            data_messages.load(Ordering::SeqCst),
+            pool.data_messages.load(Ordering::SeqCst),
             0,
             // ord: SeqCst — post-join counter snapshot
-            data_bytes.load(Ordering::SeqCst),
+            pool.data_bytes.load(Ordering::SeqCst),
             converged,
-            mailboxes.stats(),
-            // The static partition never touches the run queue, so its park
-            // count is a structural zero — which is what makes it a
-            // deterministic, gateable metric for sync cells.
+            // Supersteps hand fronts over by reference and never touch the
+            // mailboxes or the run queue, so the mailbox counters and the
+            // park count are structural zeros — which is what makes them
+            // deterministic, gateable metrics for sync cells.
+            MailboxStats::default(),
             0,
-        )
+        )?;
+        match joined {
+            Ok(()) => Ok(report),
+            // Unreachable while a dead worker always leaves its blocks
+            // without results; never swallow a panic silently.
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     }
 
     fn run_asynchronous(
@@ -684,94 +684,187 @@ impl AsyncPool<'_> {
     }
 }
 
-/// One synchronous pool worker: runs the blocks it owns (`states`) through
-/// barrier-separated supersteps.
-#[allow(clippy::too_many_arguments)]
-fn sync_worker(
-    kernel: &dyn IterativeKernel,
-    config: &RunConfig,
-    worker: usize,
-    mut states: Vec<BlockState>,
-    graph: &DependencyGraph,
-    mailboxes: &CoalescingMailboxes,
-    barrier: &Barrier,
-    residuals: &[AtomicU64],
-    stop: &AtomicBool,
-    data_messages: &AtomicU64,
-    data_bytes: &AtomicU64,
-    results: &[Mutex<Option<BlockOutcome>>],
-    tracer: &Tracer,
-) {
-    let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
-    let max_iter = config.max_iterations as u64;
-    let mut iterations = 0u64;
+/// A barrier a dying worker can break.
+///
+/// `std::sync::Barrier` waits for every party forever, so one worker that
+/// panics mid-superstep would hang the rest of the pool. Here a worker that
+/// unwinds breaks the barrier (see [`BreakOnUnwind`]): every waiter, present
+/// and future, returns [`Broken`] instead of waiting.
+struct BreakableBarrier {
+    state: Mutex<BarrierState>,
+    released: Condvar,
+    parties: usize,
+}
 
-    while iterations < max_iter {
-        // Compute + exchange phase: iterate every owned block (reading the
-        // dependency values delivered for the previous iteration — a Jacobi
-        // sweep) and publish the new iterates to the dependants' mailboxes.
-        for state in states.iter_mut() {
-            let iterate_start = rec.now_ns();
-            let residual = state.iterate(kernel);
-            let iterate_end = rec.now_ns();
-            rec.span_complete("iterate", iterate_start, iterate_end, state.id as u64);
-            // ord: SeqCst — residual publication for the coordinator's convergence scan
-            residuals[state.id].store(residual.to_bits(), Ordering::SeqCst);
-            let out_degree = graph.out_neighbours(state.id).len() as u64;
-            if out_degree > 0 {
-                mailboxes.publish_from(state.id, state.iteration, &state.values, |_| {});
-                rec.instant("publish", state.id as u64);
-                // ord: stat counter — message-count telemetry
-                data_messages.fetch_add(out_degree, Ordering::Relaxed);
-                data_bytes.fetch_add(
-                    out_degree * Message::data_payload_bytes(state.values.len()),
-                    // ord: stat counter — byte-count telemetry
-                    Ordering::Relaxed,
-                );
-            }
-        }
-        iterations += 1;
-        // Barrier A: all publishes of this iteration are visible.
-        rec.span_begin("barrier", iterations);
-        barrier.wait();
-        rec.span_end("barrier", iterations);
-        // Delivery phase: incorporate everything received for this iteration.
-        for state in states.iter_mut() {
-            mailboxes.take_for(state.id, |src, iteration, values| {
-                state.incorporate(src, iteration, values);
-            });
-            rec.instant("take", state.id as u64);
-        }
-        // The first worker evaluates the global stopping criterion (the
-        // synchronous algorithm checks the true global residual).
-        if worker == 0 {
-            let worst = residuals
-                .iter()
-                // ord: SeqCst — convergence scan of the published residuals
-                .map(|r| f64::from_bits(r.load(Ordering::SeqCst)))
-                .fold(0.0f64, f64::max);
-            if worst < config.epsilon {
-                // ord: SeqCst — stop broadcast on global convergence
-                stop.store(true, Ordering::SeqCst);
-            }
-        }
-        // Barrier B: everyone sees the decision for this iteration.
-        barrier.wait();
-        // ord: SeqCst — stop gate for the superstep loop
-        if stop.load(Ordering::SeqCst) {
-            break;
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+/// The superstep barrier was broken: a worker died.
+struct Broken;
+
+impl BreakableBarrier {
+    fn new(parties: usize) -> Self {
+        Self {
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                broken: false,
+            }),
+            released: Condvar::new(),
+            parties,
         }
     }
 
-    for state in states {
-        *results[state.id].lock().unwrap() = Some(BlockOutcome {
-            iterations: state.iteration,
-            residual: state.residual,
-            payload_clones: state.payload_clones,
-            bytes_copied: state.bytes_copied,
-            // copy: retirement snapshot — sync-mode values leave the runtime at finish
-            values: state.values.to_vec(),
-        });
+    /// Blocks until every party has arrived, or returns [`Broken`] once the
+    /// barrier is broken.
+    fn wait(&self) -> Result<(), Broken> {
+        let mut state = self.state.lock().unwrap();
+        if state.broken {
+            return Err(Broken);
+        }
+        state.arrived += 1;
+        if state.arrived == self.parties {
+            state.arrived = 0;
+            state.generation += 1;
+            self.released.notify_all();
+            return Ok(());
+        }
+        let generation = state.generation;
+        while state.generation == generation && !state.broken {
+            state = self.released.wait(state).unwrap();
+        }
+        // A superstep that completed before the break still counts.
+        if state.generation == generation {
+            Err(Broken)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn break_barrier(&self) {
+        self.state.lock().unwrap().broken = true;
+        self.released.notify_all();
+    }
+}
+
+/// Breaks the superstep barrier when a synchronous worker unwinds, so the
+/// other workers return instead of waiting forever for it.
+struct BreakOnUnwind<'a>(&'a BreakableBarrier);
+
+impl Drop for BreakOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.break_barrier();
+        }
+    }
+}
+
+/// Everything the synchronous pool's workers share.
+struct SyncPool<'a> {
+    kernel: &'a dyn IterativeKernel,
+    config: &'a RunConfig,
+    graph: &'a DependencyGraph,
+    /// Each block's published front buffer: written once per superstep by
+    /// the block's owner in the compute phase, read by the dependants
+    /// between the two barriers.
+    fronts: Vec<Mutex<Payload>>,
+    barrier: BreakableBarrier,
+    /// Each worker's largest block residual of the last superstep (`f64`
+    /// bits; infinite before the first).
+    worst_residuals: Vec<AtomicU64>,
+    data_messages: AtomicU64,
+    data_bytes: AtomicU64,
+    results: Vec<Mutex<Option<BlockOutcome>>>,
+}
+
+impl SyncPool<'_> {
+    /// The synchronous stopping criterion: the true global residual of the
+    /// last superstep is below ε.
+    fn converged(&self) -> bool {
+        let worst = self
+            .worst_residuals
+            .iter()
+            // ord: SeqCst — residuals stored before barrier A; kept SeqCst so the proof stays trivial
+            .map(|r| f64::from_bits(r.load(Ordering::SeqCst)))
+            .fold(0.0f64, f64::max);
+        worst < self.config.epsilon
+    }
+
+    /// A reference to `block`'s published front.
+    fn front(&self, block: usize) -> Payload {
+        // copy: refcount bump — the dependant's view slot shares the producer's published front
+        self.fronts[block].lock().unwrap().clone()
+    }
+
+    /// One synchronous pool worker: runs the blocks it owns (`states`)
+    /// through barrier-separated supersteps.
+    fn run_worker(&self, worker: usize, mut states: Vec<BlockState>, tracer: &Tracer) {
+        let _guard = BreakOnUnwind(&self.barrier);
+        let mut rec = tracer.recorder(Layer::Runtime, format!("worker-{worker}"), worker as u64);
+        let mut messages = 0u64;
+        let mut bytes = 0u64;
+
+        for superstep in 1..=self.config.max_iterations as u64 {
+            // Compute phase: iterate every owned block (reading the
+            // dependency values delivered for the previous iteration — a
+            // Jacobi sweep) and publish its new front.
+            let mut worst = 0.0f64;
+            for state in states.iter_mut() {
+                let iterate_start = rec.now_ns();
+                worst = worst.max(state.iterate(self.kernel));
+                let iterate_end = rec.now_ns();
+                rec.span_complete("iterate", iterate_start, iterate_end, state.id as u64);
+                // copy: refcount bump — the published front shares the block's new front buffer
+                *self.fronts[state.id].lock().unwrap() = state.values.clone();
+                let out_degree = self.graph.out_neighbours(state.id).len() as u64;
+                if out_degree > 0 {
+                    rec.instant("publish", state.id as u64);
+                    messages += out_degree;
+                    bytes += out_degree * Message::data_payload_bytes(state.values.len());
+                }
+            }
+            // ord: SeqCst — residual publication before barrier A for every worker's stop decision
+            self.worst_residuals[worker].store(worst.to_bits(), Ordering::SeqCst);
+            // Barrier A: every front and residual of this superstep is
+            // published.
+            rec.span_begin("barrier", superstep);
+            let passed = self.barrier.wait();
+            rec.span_end("barrier", superstep);
+            // Every worker reads the same residuals, so all of them take
+            // the same decision and no stop order needs broadcasting.
+            if passed.is_err() || self.converged() {
+                break;
+            }
+            // Delivery phase: the sequential sweep's delivery, every view
+            // slot taking a reference to its producer's published front.
+            for state in states.iter_mut() {
+                state.view.refresh_from(|b| self.front(b));
+                rec.instant("take", state.id as u64);
+            }
+            // Barrier B: no front or residual is overwritten before every
+            // worker has read them.
+            if self.barrier.wait().is_err() {
+                break;
+            }
+        }
+
+        // ord: stat counter — message-count telemetry, added once per worker
+        self.data_messages.fetch_add(messages, Ordering::Relaxed);
+        // ord: stat counter — byte-count telemetry, added once per worker
+        self.data_bytes.fetch_add(bytes, Ordering::Relaxed);
+        for state in states {
+            *self.results[state.id].lock().unwrap() = Some(BlockOutcome {
+                iterations: state.iteration,
+                residual: state.residual,
+                payload_clones: state.payload_clones,
+                bytes_copied: state.bytes_copied,
+                // copy: retirement snapshot — sync-mode values leave the runtime at finish
+                values: state.values.to_vec(),
+            });
+        }
     }
 }
 
@@ -938,16 +1031,30 @@ mod tests {
 
     #[test]
     fn synchronous_pool_is_bit_identical_for_every_pool_size() {
-        let kernel = RingContraction::new(6);
+        // 7 blocks split unevenly over 2..=6 workers, and over 7 and 8,
+        // which are clamped to one block per worker.
+        let kernel = RingContraction::new(7);
+        let edges = DependencyGraph::from_kernel(&kernel).num_edges() as u64;
         let seq = SequentialRuntime::new().run(&kernel, &RunConfig::synchronous(1e-10));
-        for workers in 1..=6 {
+        for workers in 1..=8 {
             let config = RunConfig::synchronous(1e-10).with_num_workers(workers);
             let par = ThreadedRuntime::new().run(&kernel, &config);
             assert!(par.converged, "{workers} workers");
             assert_eq!(par.iterations, seq.iterations, "{workers} workers");
             for (a, b) in par.solution.iter().zip(&seq.solution) {
-                assert_eq!(a, b, "{workers} workers: iterates must be identical");
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{workers} workers: iterates must be identical"
+                );
             }
+            assert_eq!(par.peak_mailbox_occupancy, 0, "{workers} workers");
+            assert_eq!(par.coalesced_messages, 0, "{workers} workers");
+            assert_eq!(
+                par.data_messages,
+                edges * par.iterations[0],
+                "{workers} workers: one message per edge per superstep"
+            );
         }
     }
 
@@ -1137,19 +1244,27 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_kernel_ends_the_async_run_in_a_typed_error() {
-        // Regression test: `try_run` promised a `RunError` but the async path
-        // re-panicked on the main thread when a worker died.
+    fn a_panicking_kernel_ends_the_run_in_a_typed_error() {
+        // Regression test: `try_run` promised a `RunError`, but the async
+        // path re-panicked on the main thread when a worker died, and the
+        // sync path panicked with one worker and hung on its barrier with
+        // more.
         let kernel = PanicsOnBlock(RingContraction::new(6), 4);
-        for workers in [1, 3] {
-            let config = RunConfig::asynchronous(1e-10).with_num_workers(workers);
-            let err = ThreadedRuntime::new()
-                .try_run(&kernel, &config)
-                .expect_err("block 4 never produces a result");
-            let RunError::MissingResults { missing } = err else {
-                panic!("{workers} workers: unexpected error {err}");
-            };
-            assert!(missing.contains(&4), "{workers} workers: {missing:?}");
+        for mode in [RunConfig::synchronous, RunConfig::asynchronous] {
+            for workers in [1, 3] {
+                let config = mode(1e-10).with_num_workers(workers);
+                let err = ThreadedRuntime::new()
+                    .try_run(&kernel, &config)
+                    .expect_err("block 4 never produces a result");
+                let mode = config.mode;
+                let RunError::MissingResults { missing } = err else {
+                    panic!("{mode:?}, {workers} workers: unexpected error {err}");
+                };
+                assert!(
+                    missing.contains(&4),
+                    "{mode:?}, {workers} workers: {missing:?}"
+                );
+            }
         }
     }
 

@@ -202,3 +202,36 @@ fn run_start_up_allocates_in_proportion_to_the_block_count() {
         );
     }
 }
+
+#[test]
+fn a_synchronous_superstep_allocates_nothing() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let ring = ServiceRing::new(64);
+    // Bytes allocated by a 2-worker SISC run of exactly `supersteps`
+    // supersteps (ε is out of reach). The smallest of three runs, so that an
+    // allocation the test harness makes on its own thread meanwhile does
+    // not count.
+    let run_bytes = |supersteps: usize| {
+        let config = RunConfig::synchronous(f64::MIN_POSITIVE)
+            .with_max_iterations(supersteps)
+            .with_num_workers(2);
+        (0..3)
+            .map(|_| {
+                let before = BYTES.load(Ordering::Relaxed);
+                let report = ThreadedRuntime::new().run(&ring, &config);
+                let bytes = BYTES.load(Ordering::Relaxed) - before;
+                assert_eq!(report.iterations, vec![supersteps as u64; 64]);
+                bytes
+            })
+            .min()
+            .unwrap()
+    };
+    let (short, long) = (run_bytes(8), run_bytes(16));
+    assert_eq!(
+        long,
+        short,
+        "8 more supersteps allocated {} B: a superstep must hand the fronts \
+         over by reference",
+        long as i64 - short as i64
+    );
+}
