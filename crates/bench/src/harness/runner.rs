@@ -279,7 +279,7 @@ fn run_threaded_cell(
 }
 
 /// Evaluates the per-cell checks (convergence, fixed point, solution error,
-/// mailbox bound, zero-copy). Cross-cell checks are handled by the
+/// no per-edge queue, zero-copy). Cross-cell checks are handled by the
 /// kind-specific drivers below.
 fn apply_cell_checks(outcome: &mut CellOutcome, kernel: &Kernel, spec: &ExperimentSpec) {
     let Some(report) = outcome.report.as_ref() else {
@@ -325,12 +325,11 @@ fn apply_cell_checks(outcome: &mut CellOutcome, kernel: &Kernel, spec: &Experime
                     }
                 }
             }
-            Check::MailboxBound => {
-                let edges = DependencyGraph::from_kernel(kernel.as_kernel()).num_edges() as u64;
-                if report.peak_mailbox_occupancy > edges {
+            Check::NoPerEdgeQueue => {
+                if report.peak_mailbox_occupancy > 0 || report.coalesced_messages > 0 {
                     failures.push(format!(
-                        "exceeded the O(edges) bound: {} slots > {edges} edges",
-                        report.peak_mailbox_occupancy
+                        "data waited in per-edge queues: peak occupancy {}, {} coalesced",
+                        report.peak_mailbox_occupancy, report.coalesced_messages
                     ));
                 }
             }
@@ -448,7 +447,7 @@ fn run_env_comparison(spec: &ExperimentSpec) -> ExperimentRecord {
 
 /// The `scale_pool` driver: synchronous supersteps and the asynchronous
 /// pool over the real worker threads, each cell checked on its own (fixed
-/// point, O(edges) mailbox bound, zero-copy).
+/// point, no per-edge queue, zero-copy).
 fn run_pool_scale(spec: &ExperimentSpec) -> ExperimentRecord {
     let kernel = Kernel::build(&spec.problem, None);
     let profile = *spec
@@ -718,8 +717,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_scale_checks_the_fixed_point_and_the_mailbox_bound() {
-        let record = run_spec(&spec::scale_pool_spec(32, Some(2)));
+    fn pool_scale_checks_the_fixed_point_and_no_per_edge_queue() {
+        let spec = spec::scale_pool_spec(32, Some(2));
+        let record = run_spec(&spec);
         assert_eq!(record.cells.len(), 2);
         for cell in &record.cells {
             assert!(
@@ -730,6 +730,30 @@ mod tests {
             );
             assert_eq!(cell.metric("edges").unwrap().value, 64.0);
             assert!(cell.metric("wall_median_secs").is_some());
+            for name in ["peak_mailbox_occupancy", "coalesced_messages"] {
+                assert_eq!(cell.metric(name).unwrap().value, 0.0, "{}", cell.cell);
+            }
+        }
+        // A per-edge queue brought back would show in either counter.
+        let kernel = Kernel::build(&spec.problem, None);
+        let report = ThreadedRuntime::new().run(kernel.as_kernel(), &config_for_mode(false, &spec));
+        for queued in [
+            RunReport {
+                peak_mailbox_occupancy: 3,
+                ..report.clone()
+            },
+            RunReport {
+                coalesced_messages: 1,
+                ..report
+            },
+        ] {
+            let mut outcome = CellOutcome {
+                record: record.cells[1].clone(),
+                report: Some(queued),
+                sim: None,
+            };
+            apply_cell_checks(&mut outcome, &kernel, &spec);
+            assert_eq!(outcome.record.check_failures.len(), 1);
         }
         // the sync cell's park count is a structural zero, gateable; the
         // async cell's depends on the interleaving

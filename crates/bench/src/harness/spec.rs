@@ -169,9 +169,11 @@ pub enum Check {
         /// Largest allowed error.
         tolerance: f64,
     },
-    /// Peak mailbox occupancy must not exceed the dependency-edge count
-    /// (threaded runs only).
-    MailboxBound,
+    /// No data payload may wait in a per-edge queue: the threaded runtime
+    /// publishes one front per block, so `peak_mailbox_occupancy` and
+    /// `coalesced_messages` are structural zeros in both modes. A per-edge
+    /// mailbox or queue brought back into the runtime fails this check.
+    NoPerEdgeQueue,
     /// The run must not copy a single payload: every block update must go
     /// through the kernel's native `update_block_into` straight into the
     /// double-buffered block state (`payload_clones == 0`). Structural, so
@@ -354,8 +356,8 @@ pub fn table2_spec(n: usize, blocks: usize, scale: &ExperimentScale) -> Experime
 
 /// The `scale_pool` spec: the ring contraction over the real worker-pool
 /// executor — synchronous supersteps and the asynchronous pool — asserting
-/// the fixed point, the O(edges) in-flight-data bound and the zero-copy
-/// data plane. Three repeats so the informational wall-clock rows carry a
+/// the fixed point, that no data waits in a per-edge queue and the
+/// zero-copy data plane. Three repeats so the informational wall-clock rows carry a
 /// minimum and a median rather than a single noisy sample.
 pub fn scale_pool_spec(blocks: usize, workers: Option<usize>) -> ExperimentSpec {
     ExperimentSpec {
@@ -377,7 +379,7 @@ pub fn scale_pool_spec(blocks: usize, workers: Option<usize>) -> ExperimentSpec 
         checks: vec![
             Check::Converged,
             Check::FixedPoint { tolerance: 1e-5 },
-            Check::MailboxBound,
+            Check::NoPerEdgeQueue,
             Check::ZeroCopy,
         ],
         service: None,

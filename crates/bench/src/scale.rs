@@ -108,7 +108,7 @@ impl Default for ExperimentScale {
 ///
 /// Unlike the paper's benchmark problems this kernel costs almost nothing per
 /// iteration, which is the point: at 1024+ blocks the experiment measures the
-/// *executor* — thread-pool scheduling and mailbox traffic — rather than the
+/// *executor* — thread-pool scheduling and data-plane traffic — rather than the
 /// numerics, and the known fixed point `d / (1 − a − b − c)` makes the result
 /// checkable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -17,7 +17,7 @@
 //! Since the zero-copy data plane, the current values are a shared
 //! [`Payload`] (`Arc<[f64]>`) and the state is *double-buffered*: the kernel
 //! writes the next iterate into a private back buffer while the front buffer
-//! stays readable by anyone still holding a reference (the mailbox, a
+//! stays readable by anyone still holding a reference (a published front, a
 //! neighbour's dependency view). When the back buffer is uniquely owned it is
 //! reused in place; otherwise a fresh allocation replaces it — either way no
 //! payload bytes are copied on the native in-place path.
@@ -181,11 +181,44 @@ impl BlockState {
         true
     }
 
+    /// Takes the published front of each dependency that is strictly newer
+    /// than the version held, and returns whether it took any.
+    ///
+    /// `dependencies` are the block's in-neighbours in the order its view
+    /// tracks them (sorted, without the block itself: the
+    /// [`DependencyGraph::in_neighbours`] its state was built from).
+    /// `newer(from, held)` returns the front of `from` if its iteration tag
+    /// exceeds `held` (0 while the block holds the initial values), or
+    /// `None`. Unlike [`Self::incorporate`], an equal tag is not fresh: a
+    /// published front stays readable after it was taken, so an equal tag
+    /// is a re-read of values the block already holds.
+    pub(crate) fn take_newer(
+        &mut self,
+        dependencies: &[usize],
+        mut newer: impl FnMut(usize, u64) -> Option<(u64, Payload)>,
+    ) -> bool {
+        let mut fresh = false;
+        for (k, &from) in dependencies.iter().enumerate() {
+            // The block's own slot sits between its smaller and larger
+            // dependencies, so no per-read lookup is needed.
+            let position = k + usize::from(k >= self.own_position);
+            debug_assert_eq!(self.view.position(from), Some(position));
+            let held = self.received_iteration[position].unwrap_or(0);
+            if let Some((iteration, values)) = newer(from, held) {
+                self.view.set_at(position, values);
+                self.received_iteration[position] = Some(iteration);
+                self.messages_incorporated += 1;
+                fresh = true;
+            }
+        }
+        fresh
+    }
+
     /// Runs one local iteration through the kernel and stores the result.
     /// Returns the residual of the update.
     ///
     /// The kernel writes into the back buffer, then front and back swap: the
-    /// old front buffer (possibly still referenced by the mailbox or a
+    /// old front buffer (possibly still referenced by a published front or a
     /// neighbour's view) becomes the new back buffer and is only mutated once
     /// every other reference to it has been dropped.
     pub fn iterate(&mut self, kernel: &dyn IterativeKernel) -> f64 {

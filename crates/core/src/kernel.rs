@@ -491,6 +491,82 @@ pub(crate) mod test_kernels {
             }
         }
     }
+
+    /// A ring outside the contraction AIAC theory assumes:
+    /// `x_i = a·(x_{i+1} − x_{i−1}) + c_i`, block `i` holding 4 unknowns
+    /// coupled component by component. Over 6 blocks the Jacobi matrix has
+    /// ρ(M) = a√3 and ρ(|M|) = 2a, so with a = 0.7 even the synchronous
+    /// sweep diverges: its iterates overflow to inf and then NaN.
+    #[derive(Debug, Clone)]
+    pub struct SkewRing {
+        pub blocks: usize,
+        pub a: f64,
+    }
+
+    impl SkewRing {
+        const UNKNOWNS: usize = 4;
+    }
+
+    impl IterativeKernel for SkewRing {
+        fn num_blocks(&self) -> usize {
+            self.blocks
+        }
+
+        fn block_len(&self, _block: usize) -> usize {
+            Self::UNKNOWNS
+        }
+
+        fn initial_block(&self, _block: usize) -> Vec<f64> {
+            vec![0.0; Self::UNKNOWNS]
+        }
+
+        fn dependencies(&self, block: usize) -> Vec<usize> {
+            let mut deps = vec![
+                (block + self.blocks - 1) % self.blocks,
+                (block + 1) % self.blocks,
+            ];
+            deps.sort_unstable();
+            deps.dedup();
+            deps
+        }
+
+        fn update_block(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+        ) -> BlockUpdate {
+            let mut values = vec![0.0; local.len()];
+            let update = self.update_block_into(block, local, others, &mut values);
+            BlockUpdate {
+                values,
+                residual: update.residual,
+            }
+        }
+
+        fn update_block_into(
+            &self,
+            block: usize,
+            local: &[f64],
+            others: &DependencyView,
+            out: &mut [f64],
+        ) -> InPlaceUpdate {
+            let left = others.expect((block + self.blocks - 1) % self.blocks);
+            let right = others.expect((block + 1) % self.blocks);
+            let mut residual = 0.0f64;
+            for j in 0..Self::UNKNOWNS {
+                let c = (block + 1) as f64 + 0.5 * j as f64;
+                out[j] = self.a * (right[j] - left[j]) + c;
+                // The block's own residual keeps a NaN, so only the
+                // runtime's fold can lose it.
+                residual = aiac_linalg::norms::nan_max(residual, (out[j] - local[j]).abs());
+            }
+            InPlaceUpdate {
+                residual,
+                copied: false,
+            }
+        }
+    }
 }
 
 #[cfg(test)]

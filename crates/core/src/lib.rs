@@ -22,9 +22,9 @@
 //!   the simulated runtime combines with per-host CPU scheduling to model
 //!   oversubscribed runs honestly;
 //! * [`runtime::threaded`] executes the kernel with real OS threads — a
-//!   fixed-size worker pool multiplexing all blocks, with newest-wins
-//!   coalescing mailboxes ([`runtime::mailbox`]) for the asynchronous
-//!   exchanges — this is what a downstream user runs on a multicore machine;
+//!   fixed-size worker pool multiplexing all blocks, each block publishing
+//!   its newest values into one front cell its dependants read — this is
+//!   what a downstream user runs on a multicore machine;
 //! * [`runtime::simulated`] executes the kernel in virtual time over
 //!   `aiac-netsim` grids and `aiac-envs` environment models — this is what the
 //!   benchmark harness uses to reproduce the paper's grid experiments;
@@ -33,8 +33,8 @@
 //! * [`report::RunReport`] collects execution time, per-processor iteration
 //!   counts, message counts and the residual history of a run.
 
-// Deny rather than forbid: the lock-free mailbox data plane
-// (`runtime::mailbox`) owns the crate's only `unsafe` blocks — the
+// Deny rather than forbid: the lock-free mailboxes (`runtime::mailbox`,
+// which no runtime uses any more) own the crate's only `unsafe` blocks — the
 // box-leak/box-reclaim pair around its atomic slot swap — and scopes its own
 // allow with the safety argument. Everything else stays safe code, and the CI
 // sanitizer job (ThreadSanitizer + Miri) checks the exception.

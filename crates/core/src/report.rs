@@ -73,14 +73,14 @@ pub struct RunReport {
     pub control_messages: u64,
     /// Total application payload bytes carried by data messages.
     pub data_bytes: u64,
-    /// Number of data payloads superseded by a newer iterate before the
-    /// destination consumed them. Non-zero only for back-ends with coalescing
-    /// mailboxes (the threaded executor); queue-based and simulated back-ends
-    /// report 0.
+    /// Number of data payloads superseded in a per-edge mailbox before the
+    /// destination consumed them. No back-end buffers data per edge: the
+    /// threaded executor publishes one front per block in both modes, so
+    /// this is a structural zero on every threaded run, as on the others.
     pub coalesced_messages: u64,
-    /// Peak number of simultaneously buffered data payloads. For the threaded
-    /// executor this is the mailbox high-water mark, bounded by the
-    /// dependency-edge count; back-ends without mailboxes report 0.
+    /// Peak number of data payloads buffered in per-edge mailboxes at once.
+    /// A structural zero on every threaded run (one published front per
+    /// block, no per-edge queue) and on the other back-ends.
     pub peak_mailbox_occupancy: u64,
     /// Times an iteration fell back to the copying `update_block` path
     /// instead of the in-place `update_block_into`. A kernel with a native

@@ -1,6 +1,12 @@
-//! Newest-wins coalescing mailboxes: the data plane of the threaded
-//! executor's asynchronous pool. (Synchronous supersteps hand each block's
-//! front buffer over by reference and never use them.)
+//! Newest-wins coalescing mailboxes: one slot per dependency edge.
+//!
+//! **No runtime uses them any more.** The threaded executor publishes one
+//! front per block, which both of its modes read (see
+//! [`crate::runtime::threaded`]); it used to ship every asynchronous
+//! iterate through these slots, one boxed envelope per out-edge. The module
+//! stays only because the frozen benchmark package's `Mailboxes`
+//! micro-benchmark (`core.mailbox_*`) calls it; it goes when that package is
+//! next revised, with its model-check harness and its sanitizer jobs.
 //!
 //! The AIAC model (Section 1.2 of the paper) only ever consumes the *newest*
 //! available version of a dependency block: whenever several updates of the

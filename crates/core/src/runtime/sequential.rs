@@ -13,6 +13,7 @@ use crate::config::{ExecutionMode, RunConfig};
 use crate::depgraph::DependencyGraph;
 use crate::kernel::{IterativeKernel, Payload};
 use crate::report::RunReport;
+use aiac_linalg::norms::nan_max;
 use std::time::Instant;
 
 /// Single-threaded reference executor.
@@ -75,7 +76,7 @@ impl SequentialRuntime {
             worst_residual = 0.0f64;
             for state in blocks.iter_mut() {
                 let r = state.iterate(kernel);
-                worst_residual = worst_residual.max(r);
+                worst_residual = nan_max(worst_residual, r);
             }
             iterations += 1;
             if worst_residual < config.epsilon {

@@ -42,6 +42,7 @@ use crate::placement::{Placement, PlacementPolicy};
 use crate::report::RunReport;
 use aiac_envs::env::{EnvKind, Environment};
 use aiac_envs::threads::{ProblemKind, ReceiveDiscipline, ThreadConfig};
+use aiac_linalg::norms::nan_max;
 use aiac_netsim::host::HostId;
 use aiac_netsim::network::{Network, NetworkStats};
 use aiac_netsim::sched::{HostLoad, HostScheduler};
@@ -293,7 +294,7 @@ impl SimulatedRuntime {
             }
             worst_residual = 0.0;
             for state in states.iter_mut() {
-                worst_residual = worst_residual.max(state.iterate(kernel));
+                worst_residual = nan_max(worst_residual, state.iterate(kernel));
             }
             iterations += 1;
 

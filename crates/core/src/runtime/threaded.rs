@@ -14,12 +14,10 @@
 //!   wants, not a compromise: a block runs again only after every block
 //!   queued before it has run, so its dependencies have had the chance to
 //!   publish and it does not repeat an iteration on the same inputs.
-//! * **Coalescing mailboxes** — in asynchronous mode, block data travels
-//!   through [`super::mailbox::CoalescingMailboxes`]: one newest-wins slot per
-//!   dependency edge, so in-flight data storage is O(edges) regardless of how
-//!   far any producer runs ahead. This is exactly the AIAC model's semantics
-//!   ("the newest received values overwrite previous ones") enforced at the
-//!   transport layer.
+//! * **One published front per block** — in both modes a block publishes
+//!   its new front by reference into its own `Front` cell, tagged with
+//!   its iteration, and its dependants take it from there: in-flight data
+//!   is one payload per block, the AIAC model's "newest received values".
 //! * **Control plane** — unchanged from the paper's centralized halting
 //!   procedure (Section 4.3): asynchronous workers report local-convergence
 //!   *state changes* over a channel to the coordinator on the main thread,
@@ -38,8 +36,8 @@
 //!   involved, and the iterates are bit-identical to the sequential sweep;
 //!   the barrier idle time is exactly the white space of Figure 1.
 //! * **Asynchronous mode (AIAC)** — blocks never wait: when a worker picks a
-//!   block it drains the block's mailboxes, iterates on whatever data it has,
-//!   publishes its new values and requeues itself, as in Figure 2. A locally
+//!   block it takes its dependencies' newer fronts, iterates on whatever
+//!   data it has, publishes and requeues itself, as in Figure 2. A locally
 //!   converged block goes *dormant* instead of spinning and is woken by the
 //!   next publish from one of its dependencies (or by the stop broadcast).
 
@@ -50,7 +48,7 @@ use crate::depgraph::DependencyGraph;
 use crate::kernel::{IterativeKernel, Payload};
 use crate::message::Message;
 use crate::report::{RunError, RunReport};
-use crate::runtime::mailbox::{CoalescingMailboxes, MailboxStats};
+use aiac_linalg::norms::nan_max;
 // Atomics come from the sync facade so the bounded model checker can
 // instrument them under `--cfg aiac_check` (enforced by `cargo xtask
 // analyze`).
@@ -67,6 +65,25 @@ enum CoordEvent {
     StateChange { block: usize, converged: bool },
     /// A block finished (stop received or iteration limit reached).
     Finished,
+}
+
+/// A block's published front, shared by reference with its front buffer and
+/// tagged with the iteration that produced it (0: the initial values).
+type Front = Mutex<(u64, Payload)>;
+
+fn initial_fronts(states: &[BlockState]) -> Vec<Front> {
+    states
+        .iter()
+        // copy: refcount bump — every block publishes its initial front
+        .map(|s| Mutex::new((0, s.values.clone())))
+        .collect()
+}
+
+/// `block`'s front if it is newer than iteration `held`; both modes' delivery.
+fn newer_front(fronts: &[Front], block: usize, held: u64) -> Option<(u64, Payload)> {
+    let front = fronts[block].lock().unwrap();
+    // copy: refcount bump — the dependant's view slot shares the published front
+    (front.0 > held).then(|| front.clone())
 }
 
 /// Final per-block result, filled in when the block finishes.
@@ -164,9 +181,9 @@ impl WorkPool {
 
     /// Bookkeeping for a block just taken off the queue: clears its queued
     /// bit (so the next publish can re-schedule it) and drops the pending
-    /// count. Must run *before* the block's mailboxes are drained, so a
-    /// publish that raced the take either re-queues the block or its payload
-    /// is picked up by the drain.
+    /// count. Must run *before* the block reads its dependencies' fronts, so
+    /// a publish that raced the take either re-queues the block or its front
+    /// is read.
     fn took(&self, block: usize) {
         // ord: SeqCst — queued-bit release ordered before the pending decrement so a racing re-enqueue cannot be missed
         self.queued[block].store(false, Ordering::SeqCst);
@@ -316,11 +333,7 @@ impl ThreadedRuntime {
             kernel,
             config,
             graph: &graph,
-            fronts: states
-                .iter()
-                // copy: refcount bump — every block publishes its initial front
-                .map(|s| Mutex::new(s.values.clone()))
-                .collect(),
+            fronts: initial_fronts(&states),
             barrier: BreakableBarrier::new(workers),
             worst_residuals: (0..workers)
                 .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
@@ -366,11 +379,9 @@ impl ThreadedRuntime {
             // ord: SeqCst — post-join counter snapshot
             pool.data_bytes.load(Ordering::SeqCst),
             converged,
-            // Supersteps hand fronts over by reference and never touch the
-            // mailboxes or the run queue, so the mailbox counters and the
-            // park count are structural zeros — which is what makes them
-            // deterministic, gateable metrics for sync cells.
-            MailboxStats::default(),
+            // Supersteps never touch the run queue, so the park count is a
+            // structural zero — a deterministic, gateable metric for sync
+            // cells.
             0,
         )?;
         match joined {
@@ -392,13 +403,14 @@ impl ThreadedRuntime {
         let started = Instant::now();
         let workers = config.effective_num_workers(m);
 
+        let states = BlockState::for_run(kernel, &graph);
         let pool = AsyncPool {
             kernel,
             config,
             graph: &graph,
-            mailboxes: CoalescingMailboxes::new(&graph),
+            fronts: initial_fronts(&states),
             sched: WorkPool::new(m),
-            tasks: BlockState::for_run(kernel, &graph)
+            tasks: states
                 .into_iter()
                 .map(|state| {
                     Mutex::new(AsyncTask {
@@ -458,7 +470,6 @@ impl ThreadedRuntime {
             }
         });
 
-        let stats = pool.mailboxes.stats();
         let queue_wait_events = pool.sched.queue_wait_events();
         // A worker that panicked left the block it was running without a
         // result, so the failure surfaces below as `MissingResults` naming it.
@@ -478,7 +489,6 @@ impl ThreadedRuntime {
             // ord: SeqCst — post-join counter snapshot
             pool.data_bytes.load(Ordering::SeqCst),
             detector.is_decided(),
-            stats,
             queue_wait_events,
         )?;
         match joined {
@@ -528,7 +538,8 @@ struct AsyncPool<'a> {
     kernel: &'a dyn IterativeKernel,
     config: &'a RunConfig,
     graph: &'a DependencyGraph,
-    mailboxes: CoalescingMailboxes,
+    /// Each block's newest published front.
+    fronts: Vec<Front>,
     sched: WorkPool,
     tasks: Vec<Mutex<AsyncTask>>,
     results: Vec<Mutex<Option<BlockOutcome>>>,
@@ -546,20 +557,19 @@ struct AsyncPool<'a> {
 }
 
 impl AsyncPool<'_> {
-    /// Runs one scheduling slice of `block`: drain its mailboxes, iterate
-    /// once, publish, and decide whether to requeue, park or finish.
+    /// Runs one slice of `block`: take its dependencies' newer fronts,
+    /// iterate once, publish, then requeue, park or finish.
     fn process(&self, block: usize, coord_tx: &Sender<CoordEvent>, rec: &mut TrackRecorder) {
         let mut task = self.tasks[block].lock().unwrap();
         if task.done {
             return;
         }
 
-        // Receive whatever has arrived (the newest version per edge, by
-        // construction of the coalescing mailboxes).
-        let mut fresh_data = false;
-        self.mailboxes.take_for(block, |src, iteration, values| {
-            fresh_data |= task.state.incorporate(src, iteration, values);
-        });
+        // After `WorkPool::took`: a publish that raced the take either
+        // re-queued the block or is taken here.
+        let deps = self.graph.in_neighbours(block);
+        let state = &mut task.state;
+        let fresh_data = state.take_newer(deps, |d, held| newer_front(&self.fronts, d, held));
         if fresh_data {
             rec.instant("take", block as u64);
         }
@@ -617,7 +627,7 @@ impl AsyncPool<'_> {
             let _ = coord_tx.send(CoordEvent::StateChange { block, converged });
         }
 
-        // Publish the fresh values on every out-edge, waking the dependants.
+        // Publish the fresh front, waking the dependants.
         // An at-fixed-point update publishes nothing: the dependants already
         // hold values indistinguishable at the ε scale, and re-sending them
         // only re-enqueues the neighbourhood. Without this gate two mutually
@@ -626,10 +636,11 @@ impl AsyncPool<'_> {
         // into round-robin.
         let out_degree = self.graph.out_neighbours(block).len() as u64;
         if out_degree > 0 && !at_fixed_point {
-            self.mailboxes
-                .publish_from(block, task.state.iteration, &task.state.values, |dst| {
-                    self.sched.enqueue(dst);
-                });
+            // copy: refcount bump — the published front shares the block's new front buffer
+            *self.fronts[block].lock().unwrap() = (task.state.iteration, task.state.values.clone());
+            for &dst in self.graph.out_neighbours(block) {
+                self.sched.enqueue(dst);
+            }
             rec.instant("publish", block as u64);
             // ord: stat counter — message-count telemetry
             self.data_messages.fetch_add(out_degree, Ordering::Relaxed);
@@ -660,7 +671,7 @@ impl AsyncPool<'_> {
         task.done = true;
         *self.results[block].lock().unwrap() = Some(BlockOutcome {
             // One copy per block at retirement, off the hot path (the shared
-            // payload may still be referenced by the mailboxes).
+            // payload may still be referenced by a front or a view).
             // copy: retirement snapshot — the block's values leave the runtime exactly once, at finish
             values: task.state.values.to_vec(),
             iterations: task.state.iteration,
@@ -767,10 +778,10 @@ struct SyncPool<'a> {
     kernel: &'a dyn IterativeKernel,
     config: &'a RunConfig,
     graph: &'a DependencyGraph,
-    /// Each block's published front buffer: written once per superstep by
-    /// the block's owner in the compute phase, read by the dependants
-    /// between the two barriers.
-    fronts: Vec<Mutex<Payload>>,
+    /// Each block's published front: written once per superstep by the
+    /// block's owner in the compute phase, read by the dependants between
+    /// the two barriers.
+    fronts: Vec<Front>,
     barrier: BreakableBarrier,
     /// Each worker's largest block residual of the last superstep (`f64`
     /// bits; infinite before the first).
@@ -789,14 +800,8 @@ impl SyncPool<'_> {
             .iter()
             // ord: SeqCst — residuals stored before barrier A; kept SeqCst so the proof stays trivial
             .map(|r| f64::from_bits(r.load(Ordering::SeqCst)))
-            .fold(0.0f64, f64::max);
+            .fold(0.0f64, nan_max);
         worst < self.config.epsilon
-    }
-
-    /// A reference to `block`'s published front.
-    fn front(&self, block: usize) -> Payload {
-        // copy: refcount bump — the dependant's view slot shares the producer's published front
-        self.fronts[block].lock().unwrap().clone()
     }
 
     /// One synchronous pool worker: runs the blocks it owns (`states`)
@@ -814,11 +819,11 @@ impl SyncPool<'_> {
             let mut worst = 0.0f64;
             for state in states.iter_mut() {
                 let iterate_start = rec.now_ns();
-                worst = worst.max(state.iterate(self.kernel));
+                worst = nan_max(worst, state.iterate(self.kernel));
                 let iterate_end = rec.now_ns();
                 rec.span_complete("iterate", iterate_start, iterate_end, state.id as u64);
                 // copy: refcount bump — the published front shares the block's new front buffer
-                *self.fronts[state.id].lock().unwrap() = state.values.clone();
+                *self.fronts[state.id].lock().unwrap() = (state.iteration, state.values.clone());
                 let out_degree = self.graph.out_neighbours(state.id).len() as u64;
                 if out_degree > 0 {
                     rec.instant("publish", state.id as u64);
@@ -841,7 +846,8 @@ impl SyncPool<'_> {
             // Delivery phase: the sequential sweep's delivery, every view
             // slot taking a reference to its producer's published front.
             for state in states.iter_mut() {
-                state.view.refresh_from(|b| self.front(b));
+                let deps = self.graph.in_neighbours(state.id);
+                state.take_newer(deps, |d, held| newer_front(&self.fronts, d, held));
                 rec.instant("take", state.id as u64);
             }
             // Barrier B: no front or residual is overwritten before every
@@ -879,7 +885,6 @@ fn finalize_report(
     control_messages: u64,
     data_bytes: u64,
     converged: bool,
-    mailbox_stats: MailboxStats,
     queue_wait_events: u64,
 ) -> Result<RunReport, RunError> {
     let m = kernel.num_blocks();
@@ -897,7 +902,7 @@ fn finalize_report(
     let mut payload_clones = 0u64;
     let mut bytes_copied = 0u64;
     for outcome in outcomes.into_iter().flatten() {
-        final_residual = final_residual.max(outcome.residual);
+        final_residual = nan_max(final_residual, outcome.residual);
         iterations.push(outcome.iterations);
         payload_clones += outcome.payload_clones;
         bytes_copied += outcome.bytes_copied;
@@ -911,8 +916,8 @@ fn finalize_report(
         data_messages,
         control_messages,
         data_bytes,
-        coalesced_messages: mailbox_stats.coalesced,
-        peak_mailbox_occupancy: mailbox_stats.peak_occupancy,
+        coalesced_messages: 0,
+        peak_mailbox_occupancy: 0,
         payload_clones,
         bytes_copied,
         queue_wait_events,
@@ -984,8 +989,8 @@ mod tests {
     #[test]
     fn a_publish_racing_took_requeues_the_block() {
         // A publish that lands before `took` is dropped by the queued bit
-        // (the worker drains the mailbox after `took`, so it sees the
-        // payload); one that lands after `took` must queue the block again.
+        // (the worker reads the fronts after `took`, so it sees the
+        // publish); one that lands after `took` must queue the block again.
         let pool = WorkPool::new(2);
         pool.enqueue(1);
         assert_eq!(pool.pop(), Some(1));
@@ -1102,20 +1107,15 @@ mod tests {
 
     #[test]
     fn in_flight_data_is_bounded_by_the_edge_count() {
+        // One front per block in both modes: the mailbox counters are zeros.
         let kernel = RingContraction::new(8);
-        let graph = DependencyGraph::from_kernel(&kernel);
         for config in [
             RunConfig::synchronous(1e-8).with_num_workers(3),
             RunConfig::asynchronous(1e-8).with_num_workers(3),
         ] {
             let report = ThreadedRuntime::new().run(&kernel, &config);
-            assert!(
-                report.peak_mailbox_occupancy <= graph.num_edges() as u64,
-                "{:?}: peak {} must stay under the edge count {}",
-                config.mode,
-                report.peak_mailbox_occupancy,
-                graph.num_edges()
-            );
+            assert_eq!(report.peak_mailbox_occupancy, 0, "{:?}", config.mode);
+            assert_eq!(report.coalesced_messages, 0, "{:?}", config.mode);
         }
     }
 
@@ -1157,7 +1157,7 @@ mod tests {
     fn native_in_place_kernel_runs_zero_copy_in_both_modes() {
         // RingContraction overrides `update_block_into`, so the data plane
         // must never fall back to the copying path: payloads travel only by
-        // Arc refcount through the mailboxes and dependency views.
+        // Arc refcount through the published fronts and dependency views.
         let kernel = RingContraction::new(6);
         for config in [
             RunConfig::synchronous(1e-10).with_num_workers(3),
@@ -1203,7 +1203,6 @@ mod tests {
             0,
             0,
             false,
-            MailboxStats::default(),
             0,
         )
         .unwrap_err();

@@ -32,7 +32,8 @@ pub enum EnvProfile {
     /// Asynchronous AIAC over OmniORB 4 (simulated grid).
     AsyncOmniOrb,
     /// Shared-memory execution on the real threaded back-end (one SMP
-    /// machine, OS threads + coalescing mailboxes instead of a network).
+    /// machine, OS threads reading each other's published fronts instead
+    /// of a network).
     LocalThreads,
 }
 

@@ -12,6 +12,20 @@ pub fn max_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
 }
 
+/// The larger of `a` and `b`, or NaN when either is NaN.
+///
+/// `f64::max` returns the other argument when one is NaN, so a residual fold
+/// over it reads a block that overflowed into NaN as residual 0, which is
+/// below any ε. This fold keeps the NaN, and `NaN < ε` is false. On every
+/// other input it returns `f64::max`'s bits.
+pub fn nan_max(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
+}
+
 /// Euclidean norm `||x||_2`.
 pub fn l2_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -105,6 +119,19 @@ mod tests {
     fn relative_diff_floor_prevents_division_by_zero() {
         let v = relative_max_norm_diff(&[1.0], &[0.0], 1.0);
         assert_eq!(v, 1.0);
+    }
+
+    #[test]
+    fn nan_max_keeps_nan_and_is_f64_max_elsewhere() {
+        assert!(nan_max(f64::NAN, 1.0).is_nan());
+        assert!(nan_max(1.0, f64::NAN).is_nan());
+        assert_eq!(0.0f64.max(f64::NAN), 0.0, "the fold this replaces");
+        let samples = [0.0, 1e-300, 2.5, f64::MAX, f64::INFINITY, -3.0];
+        for a in samples {
+            for b in samples {
+                assert_eq!(nan_max(a, b).to_bits(), a.max(b).to_bits(), "{a} {b}");
+            }
+        }
     }
 
     #[test]

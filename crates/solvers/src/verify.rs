@@ -10,13 +10,14 @@ use crate::chemical::{ChemicalProblem, ChemicalSolution};
 use crate::sparse_linear::SparseLinearProblem;
 use aiac_core::config::RunConfig;
 use aiac_core::runtime::sequential::SequentialRuntime;
+use aiac_linalg::norms::nan_max;
 
 /// Maximum relative component-wise difference between two vectors,
 /// `max_i |a_i − b_i| / max(|b_i|, floor)`.
 pub fn max_relative_difference(a: &[f64], b: &[f64], floor: f64) -> f64 {
     assert_eq!(a.len(), b.len(), "vectors must have the same length");
     a.iter().zip(b).fold(0.0f64, |acc, (x, y)| {
-        acc.max((x - y).abs() / y.abs().max(floor))
+        nan_max(acc, (x - y).abs() / y.abs().max(floor))
     })
 }
 
@@ -68,6 +69,13 @@ mod tests {
         let b = vec![1.0e6];
         assert!(max_relative_difference(&a, &b, 1.0) < 2e-6);
         assert!(!solutions_agree(&[2.0], &[1.0], 0.5));
+    }
+
+    #[test]
+    fn a_nan_solution_never_agrees() {
+        assert!(!solutions_agree(&[f64::NAN], &[1.0], 1e-3));
+        assert!(!solutions_agree(&[1.0, f64::NAN], &[1.0, 1.0], 1e-3));
+        assert!(max_relative_difference(&[1.0], &[f64::NAN], 1.0).is_nan());
     }
 
     #[test]

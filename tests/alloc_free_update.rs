@@ -235,3 +235,93 @@ fn a_synchronous_superstep_allocates_nothing() {
         long as i64 - short as i64
     );
 }
+
+/// A ring in which every block reads its two nearest neighbours on each
+/// side, so every publish reaches 4 dependants. A block also reads its own
+/// value, so an iteration on stale inputs still moves it and no block ever
+/// counts as converged.
+struct WideRing {
+    blocks: usize,
+}
+
+impl IterativeKernel for WideRing {
+    fn num_blocks(&self) -> usize {
+        self.blocks
+    }
+    fn block_len(&self, _block: usize) -> usize {
+        1
+    }
+    fn initial_block(&self, _block: usize) -> Vec<f64> {
+        vec![0.0]
+    }
+    fn dependencies(&self, block: usize) -> Vec<usize> {
+        let mut deps: Vec<usize> = [self.blocks - 2, self.blocks - 1, 1, 2]
+            .iter()
+            .map(|offset| (block + offset) % self.blocks)
+            .collect();
+        deps.sort_unstable();
+        deps
+    }
+    fn update_block(&self, block: usize, local: &[f64], others: &DependencyView) -> BlockUpdate {
+        let mut values = vec![0.0];
+        let residual = self
+            .update_block_into(block, local, others, &mut values)
+            .residual;
+        BlockUpdate { values, residual }
+    }
+    fn update_block_into(
+        &self,
+        block: usize,
+        local: &[f64],
+        others: &DependencyView,
+        out: &mut [f64],
+    ) -> InPlaceUpdate {
+        let neighbours: f64 = [self.blocks - 2, self.blocks - 1, 1, 2]
+            .iter()
+            .map(|offset| others.expect((block + offset) % self.blocks)[0])
+            .sum();
+        out[0] = 0.5 * local[0] + 0.1 * neighbours + 1.0;
+        InPlaceUpdate {
+            residual: (out[0] - local[0]).abs(),
+            copied: false,
+        }
+    }
+}
+
+#[test]
+fn a_warm_asynchronous_iteration_allocates_no_per_edge_envelope() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let blocks = 64;
+    let ring = WideRing { blocks };
+    // Bytes allocated by a 2-worker AIAC run in which every block iterates
+    // exactly `iterations` times (ε is out of reach); the smallest of three
+    // runs, as for the superstep test.
+    let run_bytes = |iterations: usize| {
+        let config = RunConfig::asynchronous(f64::MIN_POSITIVE)
+            .with_max_iterations(iterations)
+            .with_num_workers(2);
+        (0..3)
+            .map(|_| {
+                let before = BYTES.load(Ordering::Relaxed);
+                let report = ThreadedRuntime::new().run(&ring, &config);
+                let bytes = BYTES.load(Ordering::Relaxed) - before;
+                assert_eq!(report.iterations, vec![iterations as u64; blocks]);
+                bytes
+            })
+            .min()
+            .unwrap()
+    };
+    let (short, long) = (run_bytes(8), run_bytes(16));
+    // A block iteration allocates at most one back buffer (an `Arc<[f64]>`
+    // of one value), when a dependant still reads the one it would reuse.
+    // One boxed envelope per out-edge would add 4 × 24 B to each.
+    let back_buffer = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<f64>();
+    let allowed = blocks * 8 * back_buffer;
+    let extra = long.saturating_sub(short);
+    assert!(
+        extra <= allowed,
+        "8 more iterations of {blocks} blocks allocated {extra} B, more than \
+         one back buffer each ({allowed} B): a publish must not box an \
+         envelope per out-edge"
+    );
+}
