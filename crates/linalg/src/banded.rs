@@ -8,7 +8,9 @@
 //! reproduces that construction at any size: off-diagonal entries are drawn
 //! uniformly at random and the diagonal is set so that the Jacobi iteration
 //! matrix `M⁻¹N` has max-norm (hence spectral radius) bounded by the requested
-//! `contraction` factor.
+//! `contraction` factor. [`ScatteredDiagonalsSpec`] spreads the same
+//! construction over scattered sub-diagonals. Both generators write their
+//! CSR rows directly, already column-sorted, in O(nnz).
 
 use crate::csr::CsrMatrix;
 use rand::Rng;
@@ -185,6 +187,11 @@ impl ScatteredDiagonalsSpec {
     /// offset that stays inside the matrix, with the diagonal chosen to bound
     /// the Jacobi iteration matrix by `contraction` (same construction as
     /// [`BandedSpec::generate`]).
+    ///
+    /// The rows are written straight into exactly sized CSR arrays: the
+    /// offsets ascend and never include 0, so each row's columns come out
+    /// sorted once the diagonal's slot is put between the negative and the
+    /// positive offsets.
     pub fn generate(&self) -> CsrMatrix {
         assert!(self.n > 1, "ScatteredDiagonalsSpec: n must be at least 2");
         assert!(self.num_diagonals > 0, "need at least one sub-diagonal");
@@ -192,15 +199,31 @@ impl ScatteredDiagonalsSpec {
             self.contraction > 0.0 && self.contraction < 1.0,
             "contraction must be in (0, 1)"
         );
-        let offsets = self.offsets();
+        let n = self.n;
+        let mut slots = self.offsets();
+        let nnz = n + slots
+            .iter()
+            .map(|off| n - off.unsigned_abs() as usize)
+            .sum::<usize>();
+        slots.insert(slots.partition_point(|&off| off < 0), 0);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        for i in 0..self.n {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for i in 0..n {
             let mut off_sum = 0.0;
-            let mut row: Vec<(usize, usize, f64)> = Vec::with_capacity(offsets.len() + 1);
-            for &off in &offsets {
+            let mut diag_at = 0;
+            for &off in &slots {
                 let j = i as i64 + off;
-                if j < 0 || j >= self.n as i64 {
+                if j < 0 || j >= n as i64 {
+                    continue;
+                }
+                col_idx.push(j as usize);
+                if off == 0 {
+                    // fixed once the off-diagonal sum is known
+                    diag_at = values.len();
+                    values.push(0.0);
                     continue;
                 }
                 let magnitude: f64 = rng.gen_range(0.1..1.0);
@@ -211,17 +234,17 @@ impl ScatteredDiagonalsSpec {
                 };
                 let v = sign * magnitude;
                 off_sum += v.abs();
-                row.push((i, j as usize, v));
+                values.push(v);
             }
-            let diag = if off_sum > 0.0 {
+            values[diag_at] = if off_sum > 0.0 {
                 off_sum / self.contraction
             } else {
                 1.0
             };
-            row.push((i, i, diag));
-            triplets.extend(row);
+            row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_triplets(self.n, self.n, triplets)
+        debug_assert_eq!(col_idx.len(), nnz);
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
     }
 
     /// Generates a right-hand side with a known exact solution, like
@@ -519,6 +542,61 @@ mod tests {
         }
     }
 
+    /// The generator as it was before it wrote CSR rows directly: every
+    /// entry staged as a triplet, then sorted by `from_triplets`.
+    fn generate_by_triplets(spec: &ScatteredDiagonalsSpec) -> CsrMatrix {
+        let offsets = spec.offsets();
+        let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        for i in 0..spec.n {
+            let mut off_sum = 0.0;
+            let mut row: Vec<(usize, usize, f64)> = Vec::with_capacity(offsets.len() + 1);
+            for &off in &offsets {
+                let j = i as i64 + off;
+                if j < 0 || j >= spec.n as i64 {
+                    continue;
+                }
+                let magnitude: f64 = rng.gen_range(0.1..1.0);
+                let sign = if (i + j as usize).is_multiple_of(2) {
+                    1.0
+                } else {
+                    -1.0
+                };
+                let v = sign * magnitude;
+                off_sum += v.abs();
+                row.push((i, j as usize, v));
+            }
+            let diag = if off_sum > 0.0 {
+                off_sum / spec.contraction
+            } else {
+                1.0
+            };
+            row.push((i, i, diag));
+            triplets.extend(row);
+        }
+        CsrMatrix::from_triplets(spec.n, spec.n, triplets)
+    }
+
+    fn entry_bits(a: &CsrMatrix) -> Vec<(usize, usize, u64)> {
+        a.triplets().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn offsets_collapse_on_small_matrices() {
+        // more ranks than distinct offsets: `max(1)` and `dedup` merge them
+        let spec = ScatteredDiagonalsSpec {
+            n: 5,
+            num_diagonals: 30,
+            contraction: 0.9,
+            seed: 0,
+        };
+        assert_eq!(spec.offsets(), vec![-4, -3, -2, -1, 1, 2, 3, 4]);
+        assert_eq!(
+            entry_bits(&spec.generate()),
+            entry_bits(&generate_by_triplets(&spec))
+        );
+    }
+
     #[test]
     fn scattered_generation_is_deterministic() {
         let spec = ScatteredDiagonalsSpec::paper(150, 77);
@@ -567,6 +645,26 @@ mod tests {
         );
         let dia = DiaMatrix::from_csr(&a);
         assert_eq!(dia.matvec_alloc(&[1.0, 2.0, 3.0]), vec![4.0, 6.0, 4.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The direct CSR generator reproduces the triplet generator bit for
+        /// bit: same draws in the same order, the diagonal in its sorted slot.
+        #[test]
+        fn prop_direct_generator_matches_the_triplet_reference(
+            n in 2usize..400,
+            num_diagonals in 1usize..40,
+            contraction in 0.1f64..0.95,
+            seed in 0u64..1_000_000,
+        ) {
+            let spec = ScatteredDiagonalsSpec { n, num_diagonals, contraction, seed };
+            let direct = spec.generate();
+            let reference = generate_by_triplets(&spec);
+            prop_assert_eq!(direct.nnz(), reference.nnz());
+            prop_assert_eq!(entry_bits(&direct), entry_bits(&reference));
+        }
     }
 
     proptest! {

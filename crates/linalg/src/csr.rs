@@ -9,7 +9,6 @@
 use crate::decomp::Partition;
 use crate::operator::LinearOperator;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,6 +112,11 @@ impl CsrMatrix {
     /// The identity matrix of dimension `n`.
     pub fn identity(n: usize) -> Self {
         Self::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0)))
+    }
+
+    /// The raw CSR arrays `(row_ptr, col_idx, values)`, given up.
+    pub(crate) fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.row_ptr, self.col_idx, self.values)
     }
 
     /// Number of rows.
@@ -244,17 +248,34 @@ impl CsrMatrix {
     }
 
     /// Extracts the square diagonal block `rows × rows` (local column indices).
+    ///
+    /// A row's columns are sorted, so its entries inside the block are one
+    /// contiguous run: each row is a slice copy, O(nnz) over the block.
     pub fn diagonal_block(&self, rows: std::ops::Range<usize>) -> CsrMatrix {
         assert!(rows.end <= self.nrows && rows.end <= self.ncols);
-        let mut triplets = Vec::new();
+        let inside = |i: usize| {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let cols = &self.col_idx[lo..hi];
+            lo + cols.partition_point(|&j| j < rows.start)
+                ..lo + cols.partition_point(|&j| j < rows.end)
+        };
+        let nnz = rows.clone().map(|i| inside(i).len()).sum();
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let (mut col_idx, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        row_ptr.push(0);
         for i in rows.clone() {
-            for (j, v) in self.row(i) {
-                if rows.contains(&j) {
-                    triplets.push((i - rows.start, j - rows.start, v));
-                }
-            }
+            let run = inside(i);
+            col_idx.extend(self.col_idx[run.clone()].iter().map(|&j| j - rows.start));
+            values.extend_from_slice(&self.values[run]);
+            row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_triplets(rows.len(), rows.len(), triplets)
+        CsrMatrix {
+            nrows: rows.len(),
+            ncols: rows.len(),
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// The main diagonal as a dense vector (missing entries are zero).
@@ -279,15 +300,15 @@ impl CsrMatrix {
     /// sparse-linear algorithm computes and exchanges in its first step
     /// (Section 4.3).
     pub fn external_dependencies(&self, rows: std::ops::Range<usize>) -> Vec<usize> {
-        let mut deps = BTreeSet::new();
-        for i in rows.clone() {
-            for (j, _) in self.row(i) {
-                if !rows.contains(&j) {
-                    deps.insert(j);
-                }
-            }
-        }
-        deps.into_iter().collect()
+        let (lo, hi) = (self.row_ptr[rows.start], self.row_ptr[rows.end]);
+        let mut deps: Vec<usize> = self.col_idx[lo..hi]
+            .iter()
+            .copied()
+            .filter(|j| !rows.contains(j))
+            .collect();
+        deps.sort_unstable();
+        deps.dedup();
+        deps
     }
 
     /// Builds the block dependency graph induced by a partition of the rows
@@ -300,18 +321,15 @@ impl CsrMatrix {
             self.ncols,
             "partition must cover the columns"
         );
-        let mut graph = Vec::with_capacity(partition.parts());
-        for (b, range) in partition.iter() {
-            let mut deps = BTreeSet::new();
-            for col in self.external_dependencies(range) {
-                let owner = partition.owner(col);
-                if owner != b {
-                    deps.insert(owner);
-                }
-            }
-            graph.push(deps.into_iter().collect());
-        }
-        graph
+        partition
+            .iter()
+            .map(|(_, range)| {
+                let external = self.external_dependencies(range);
+                let mut deps: Vec<usize> = partition.owners_ascending(external).collect();
+                deps.dedup();
+                deps
+            })
+            .collect()
     }
 
     /// Frobenius norm of the matrix.

@@ -167,6 +167,31 @@ impl Partition {
         }
     }
 
+    /// The owners of ascending indices, found by one forward walk over the
+    /// block boundaries: O(indices + blocks), where [`Partition::owner`]
+    /// binary-searches each index.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range, or (in debug builds) if the
+    /// indices descend.
+    pub fn owners_ascending<'a>(
+        &'a self,
+        indices: impl IntoIterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut block = 0;
+        indices.into_iter().map(move |j| {
+            assert!(
+                j < self.n,
+                "Partition::owners_ascending: index out of range"
+            );
+            debug_assert!(self.offsets[block] <= j, "indices must ascend");
+            while self.offsets[block + 1] <= j {
+                block += 1;
+            }
+            block
+        })
+    }
+
     /// Converts a global index into `(owner, local index within the owner)`.
     pub fn to_local(&self, j: usize) -> (usize, usize) {
         let owner = self.owner(j);
@@ -283,6 +308,20 @@ mod tests {
                 let owner = p.owner(j);
                 prop_assert!(p.range(owner).contains(&j));
             }
+        }
+
+        /// The forward walk finds the same owners as the binary search, also
+        /// across empty blocks.
+        #[test]
+        fn prop_owners_ascending_matches_owner(
+            sizes in proptest::collection::vec(0usize..6, 1..12),
+            stride in 1usize..4,
+        ) {
+            let p = Partition::from_sizes(&sizes);
+            let indices: Vec<usize> = (0..p.len()).step_by(stride).collect();
+            let walked: Vec<usize> = p.owners_ascending(indices.iter().copied()).collect();
+            let searched: Vec<usize> = indices.iter().map(|&j| p.owner(j)).collect();
+            prop_assert_eq!(walked, searched);
         }
 
         #[test]

@@ -1,9 +1,15 @@
-//! Small dense matrices with LU factorisation.
+//! Small dense matrices, and the LU factorisation with partial pivoting that
+//! both they and the block-Jacobi preconditioner use.
 //!
-//! These are used for the per-block inverses of the block-Jacobi
-//! preconditioner and for the small least-squares system appearing in the
-//! GMRES restart; they are not intended for large dense problems.
+//! [`LuFactors`] eliminates on compressed rows and stores only non-zeros, so
+//! a diagonal block of the paper's matrices (10⁴–10⁵ rows in the paper, a
+//! few non-zeros each) factors in time and memory proportional to its
+//! non-zeros plus the fill, never to m². [`DenseMatrix::lu`] hands it a
+//! dense matrix's non-zeros. The dense elimination survives only as the
+//! test reference the compressed one must match bit for bit. Dense matrices
+//! themselves are small: test systems and the like, not large problems.
 
+use crate::csr::CsrMatrix;
 use crate::operator::LinearOperator;
 use serde::{Deserialize, Serialize};
 
@@ -88,12 +94,23 @@ impl DenseMatrix {
         out
     }
 
-    /// Computes an LU factorisation with partial pivoting.
+    /// Computes an LU factorisation with partial pivoting, on the matrix's
+    /// non-zeros (see [`LuFactors`]).
     ///
     /// Returns `None` when the matrix is (numerically) singular.
     pub fn lu(&self) -> Option<LuFactors> {
         assert_eq!(self.nrows, self.ncols, "lu: matrix must be square");
-        LuFactors::factor(self.nrows, &mut self.data.clone())
+        let n = self.nrows;
+        let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+        // `max(1)`: a 0 × 0 matrix has no rows, and a zero chunk length panics
+        for row in self.data.chunks_exact(n.max(1)) {
+            for (j, &v) in row.iter().enumerate().filter(|(_, v)| **v != 0.0) {
+                cols.push(j);
+                vals.push(v);
+            }
+            row_ptr.push(cols.len());
+        }
+        LuFactors::factor(CsrMatrix::from_raw(n, n, row_ptr, cols, vals))
     }
 
     /// Solves `A·x = b` via LU with partial pivoting.
@@ -175,26 +192,25 @@ struct TriangleRows {
 }
 
 impl TriangleRows {
-    fn with_rows(n: usize) -> Self {
-        let mut ptr = Vec::with_capacity(n + 1);
+    /// The non-zeros of `rows`, row by row, in exactly sized arrays.
+    fn compress<'a>(rows: impl Iterator<Item = (&'a [usize], &'a [f64])> + Clone) -> Self {
+        let non_zero = |v: &&f64| **v != 0.0;
+        let nnz = rows
+            .clone()
+            .map(|(_, v)| v.iter().filter(non_zero).count())
+            .sum();
+        let mut ptr = Vec::with_capacity(rows.size_hint().0 + 1);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
         ptr.push(0);
-        Self {
-            ptr,
-            cols: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    /// Appends the non-zeros of `dense` as the next row; `dense[0]` sits in
-    /// column `first_col`.
-    fn push_row(&mut self, first_col: usize, dense: &[f64]) {
-        for (j, &v) in dense.iter().enumerate() {
-            if v != 0.0 {
-                self.cols.push(first_col + j);
-                self.vals.push(v);
+        for (row_cols, row_vals) in rows {
+            for (&j, v) in row_cols.iter().zip(row_vals).filter(|(_, v)| non_zero(v)) {
+                cols.push(j);
+                vals.push(*v);
             }
+            ptr.push(cols.len());
         }
-        self.ptr.push(self.cols.len());
+        Self { ptr, cols, vals }
     }
 
     /// `Σ_j row_i[j] · x[j]` over the stored non-zeros, accumulated strictly
@@ -209,6 +225,134 @@ impl TriangleRows {
             .zip(&self.cols[lo..hi])
             .map(|(v, &j)| v * x[j])
             .sum()
+    }
+}
+
+/// Ends a column's list of rows.
+const END: usize = usize::MAX;
+
+/// A matrix under elimination, compressed by row with ascending columns,
+/// and for every column the list of rows with an entry in it.
+///
+/// Columns are eliminated in ascending order, so an active row's first
+/// entry is always in the column being eliminated: eliminating it writes
+/// the multiplier in its place and steps `lo` past it. A row's slot thus
+/// holds its row of L, then its entries still to eliminate (the pivot and
+/// its row of U once it is chosen), then room for fill. A row that
+/// outgrows its slot moves to the end of the arrays, into one twice its new
+/// length.
+struct ActiveRows {
+    /// Row `r`'s multipliers are `cols[start[r]..lo[r]]` /
+    /// `vals[start[r]..lo[r]]`, its other entries `lo[r]..hi[r]`; its slot
+    /// runs on to `end[r]`.
+    start: Vec<usize>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    end: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    /// Column `j`'s rows: `row_of[e]` for `e = head[j]`, `next[e]`, ... up
+    /// to [`END`]. Rows already pivoted stay listed; the walks skip them.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    row_of: Vec<usize>,
+}
+
+impl ActiveRows {
+    fn new(a: CsrMatrix) -> Self {
+        let n = a.nrows();
+        let (row_ptr, cols, vals) = a.into_raw();
+        let mut rows = Self {
+            start: row_ptr[..n].to_vec(),
+            lo: row_ptr[..n].to_vec(),
+            hi: row_ptr[1..].to_vec(),
+            end: row_ptr[1..].to_vec(),
+            head: vec![END; n],
+            next: Vec::with_capacity(cols.len()),
+            row_of: Vec::with_capacity(cols.len()),
+            cols,
+            vals,
+        };
+        for r in 0..n {
+            for e in row_ptr[r]..row_ptr[r + 1] {
+                rows.list(rows.cols[e], r);
+            }
+        }
+        rows
+    }
+
+    /// Adds row `r` to column `j`'s list.
+    fn list(&mut self, j: usize, r: usize) {
+        self.next.push(self.head[j]);
+        self.row_of.push(r);
+        self.head[j] = self.row_of.len() - 1;
+    }
+
+    /// The value of row `r`'s first entry if it lies in column `k`, else 0.
+    fn leading(&self, r: usize, k: usize) -> f64 {
+        let lo = self.lo[r];
+        if lo < self.hi[r] && self.cols[lo] == k {
+            self.vals[lo]
+        } else {
+            0.0
+        }
+    }
+
+    /// `row_r[j] -= f · u_j` for every `(j, u_j)` of the compressed row `u`,
+    /// where a column `row_r` lacks counts as a zero entry (fill).
+    fn subtract(&mut self, r: usize, f: f64, u_cols: &[usize], u_vals: &[f64]) {
+        let (lo, hi) = (self.lo[r], self.hi[r]);
+        let mut fill = 0;
+        let mut p = lo;
+        for (&j, &u) in u_cols.iter().zip(u_vals) {
+            while p < hi && self.cols[p] < j {
+                p += 1;
+            }
+            if p < hi && self.cols[p] == j {
+                self.vals[p] -= f * u;
+            } else {
+                fill += 1;
+            }
+        }
+        if fill == 0 {
+            return;
+        }
+        let len = hi - lo + fill;
+        if lo + len > self.end[r] {
+            let (from, to) = (self.start[r], self.cols.len());
+            let size = 2 * (lo - from + len);
+            self.cols.extend_from_within(from..hi);
+            self.vals.extend_from_within(from..hi);
+            self.cols.resize(to + size, 0);
+            self.vals.resize(to + size, 0.0);
+            self.start[r] = to;
+            self.lo[r] = to + lo - from;
+            self.hi[r] = to + hi - from;
+            self.end[r] = to + size;
+        }
+        // Merge the fill in from the back, so nothing is overwritten before
+        // it has been moved.
+        let lo = self.lo[r];
+        let (mut read, mut write) = (self.hi[r], lo + len);
+        for (&j, &u) in u_cols.iter().zip(u_vals).rev() {
+            while read > lo && self.cols[read - 1] > j {
+                read -= 1;
+                write -= 1;
+                self.cols[write] = self.cols[read];
+                self.vals[write] = self.vals[read];
+            }
+            write -= 1;
+            if read > lo && self.cols[read - 1] == j {
+                read -= 1;
+                self.cols[write] = j;
+                self.vals[write] = self.vals[read];
+            } else {
+                self.cols[write] = j;
+                self.vals[write] = 0.0 - f * u;
+                self.list(j, r);
+            }
+        }
+        self.hi[r] = lo + len;
     }
 }
 
@@ -231,64 +375,92 @@ pub struct LuFactors {
 }
 
 impl LuFactors {
-    /// Factorises the row-major `n × n` matrix in `lu`, eliminating in place
-    /// (`lu` holds the dense factors afterwards) and keeping only their
-    /// non-zeros.
+    /// Factorises the square matrix `a` by Gaussian elimination with partial
+    /// pivoting on its compressed rows, in time and memory proportional to
+    /// its non-zeros plus the fill, never to n².
+    ///
+    /// The arithmetic is that of the dense elimination on finite input, so
+    /// every stored factor is bit-identical to its dense counterpart:
+    /// - the pivot of column `k` is the first row, in current order, with
+    ///   the strictly largest `|a_ik|`, and a pivot below `1e-300` makes the
+    ///   matrix singular;
+    /// - a row whose multiplier is exactly zero is skipped;
+    /// - each `a_ij -= f · u_kj` is applied in ascending `k`. The dense
+    ///   elimination also subtracts `f · 0` where `u_kj` is zero, which can
+    ///   only change the sign of a zero entry;
+    /// - exact zeros are dropped from the stored factors.
     ///
     /// Returns `None` when the matrix is (numerically) singular.
-    pub(crate) fn factor(n: usize, lu: &mut [f64]) -> Option<Self> {
-        assert_eq!(lu.len(), n * n, "factor: working copy must be n × n");
+    pub(crate) fn factor(a: CsrMatrix) -> Option<Self> {
+        assert_eq!(a.nrows(), a.ncols(), "factor: matrix must be square");
+        let n = a.nrows();
+        let mut rows = ActiveRows::new(a);
+        // `perm[i]` is the row at position `i`, `position[r]` where row `r` is
         let mut perm: Vec<usize> = (0..n).collect();
+        let mut position: Vec<usize> = (0..n).collect();
+        // the pivot row's non-zeros after its pivot, for the rows below
+        let (mut u_cols, mut u_vals) = (Vec::new(), Vec::new());
         for k in 0..n {
-            // pivot selection
-            let mut pivot_row = k;
-            let mut pivot_val = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
+            // The row at position k, unless a later one is strictly larger
+            // (or as large and earlier); a NaN never wins and is never beaten.
+            let (mut pivot_row, mut pivot_val) = (perm[k], rows.leading(perm[k], k).abs());
+            let mut e = rows.head[k];
+            while e != END {
+                let r = rows.row_of[e];
+                e = rows.next[e];
+                let v = rows.leading(r, k).abs();
+                if position[r] > k
+                    && (v > pivot_val || (v == pivot_val && position[r] < position[pivot_row]))
+                {
+                    (pivot_row, pivot_val) = (r, v);
                 }
             }
             if pivot_val < 1e-300 {
                 return None;
             }
-            if pivot_row != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, pivot_row * n + j);
-                }
-                perm.swap(k, pivot_row);
+            let moved = perm[k];
+            perm.swap(k, position[pivot_row]);
+            position.swap(moved, pivot_row);
+
+            let (lo, hi) = (rows.lo[pivot_row], rows.hi[pivot_row]);
+            let pivot = rows.vals[lo];
+            u_cols.clear();
+            u_vals.clear();
+            for p in (lo + 1..hi).filter(|&p| rows.vals[p] != 0.0) {
+                u_cols.push(rows.cols[p]);
+                u_vals.push(rows.vals[p]);
             }
-            let (above, below) = lu.split_at_mut((k + 1) * n);
-            let pivot_tail = &above[k * n + k..];
-            for row in below.chunks_exact_mut(n) {
-                let factor = row[k] / pivot_tail[0];
-                row[k] = factor;
-                // A zero multiplier would subtract `0 · U[k][j]` from every
-                // entry of the row: nothing to do, and what makes a sparse
-                // block cost its non-zeros instead of n³.
-                if factor == 0.0 {
+            // `subtract` lists fill under columns after k only, so column
+            // k's list does not change under the walk
+            let mut e = rows.head[k];
+            while e != END {
+                let r = rows.row_of[e];
+                e = rows.next[e];
+                if position[r] <= k {
                     continue;
                 }
-                for (v, u) in row[k + 1..].iter_mut().zip(&pivot_tail[1..]) {
-                    *v -= factor * u;
+                let lo = rows.lo[r];
+                let f = rows.vals[lo] / pivot;
+                rows.vals[lo] = f;
+                rows.lo[r] = lo + 1;
+                // A zero multiplier would subtract `0 · U[k][j]` from every
+                // entry of the row: nothing to do.
+                if f != 0.0 {
+                    rows.subtract(r, f, &u_cols, &u_vals);
                 }
             }
         }
-        let mut lower = TriangleRows::with_rows(n);
-        let mut upper = TriangleRows::with_rows(n);
-        let mut pivots = Vec::with_capacity(n);
-        // `max(1)`: a 0 × 0 matrix has no rows, and a zero chunk length panics
-        for (i, row) in lu.chunks_exact(n.max(1)).enumerate() {
-            lower.push_row(0, &row[..i]);
-            pivots.push(row[i]);
-            upper.push_row(i + 1, &row[i + 1..]);
-        }
+        let slice = |from: usize, to: usize| (&rows.cols[from..to], &rows.vals[from..to]);
+        let rows_in_order = perm
+            .iter()
+            .map(|&r| (rows.start[r], rows.lo[r], rows.hi[r]));
         Some(LuFactors {
             n,
-            lower,
-            upper,
-            pivots,
+            lower: TriangleRows::compress(rows_in_order.clone().map(|(s, lo, _)| slice(s, lo))),
+            upper: TriangleRows::compress(
+                rows_in_order.clone().map(|(_, lo, hi)| slice(lo + 1, hi)),
+            ),
+            pivots: rows_in_order.map(|(_, lo, _)| rows.vals[lo]).collect(),
             perm,
         })
     }
@@ -470,6 +642,91 @@ mod tests {
         }
     }
 
+    impl DenseLu {
+        /// Non-zeros of the factors, counted as [`LuFactors::nnz`] does.
+        fn nnz(&self) -> usize {
+            let n = self.n;
+            let off_diagonal = (0..n * n)
+                .filter(|&e| e / n != e % n && self.lu[e] != 0.0)
+                .count();
+            off_diagonal + n
+        }
+    }
+
+    /// The compressed factors hold exactly the dense reference's non-zeros,
+    /// bit for bit, with the same pivots and row order.
+    fn assert_factors_match_the_dense_reference(factors: &LuFactors, reference: &DenseLu) {
+        let n = reference.n;
+        assert_eq!(factors.perm, reference.perm, "row order");
+        assert_eq!(factors.nnz(), reference.nnz(), "stored non-zeros");
+        for i in 0..n {
+            let dense = |j: usize| reference.lu[i * n + j].to_bits();
+            assert_eq!(factors.pivots[i].to_bits(), dense(i), "pivot {i}");
+            for triangle in [&factors.lower, &factors.upper] {
+                let stored = triangle.ptr[i]..triangle.ptr[i + 1];
+                for (&j, v) in triangle.cols[stored.clone()]
+                    .iter()
+                    .zip(&triangle.vals[stored])
+                {
+                    assert_eq!(v.to_bits(), dense(j), "entry ({i}, {j})");
+                }
+            }
+        }
+    }
+
+    /// A random sparse block without diagonal dominance: each entry is
+    /// stored with probability `density`, with either sign, so elimination
+    /// swaps rows and fills in. Entries from `{±1, ±2}` (`integers`) make
+    /// pivot candidates tie and updates cancel to exact zeros.
+    fn non_dominant_block(n: usize, density: f64, integers: bool, seed: u64) -> DenseMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if rng.gen_bool(density) {
+                    a[(i, j)] = if integers {
+                        [-2.0, -1.0, 1.0, 2.0][rng.gen_range(0..4usize)]
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    };
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn non_dominant_blocks_swap_rows_and_fill_in() {
+        let a = non_dominant_block(12, 0.2, false, 7);
+        let factors = a.lu().expect("non-singular");
+        let stored = a.data.iter().filter(|v| **v != 0.0).count();
+        assert!(
+            factors.perm.iter().enumerate().any(|(i, &r)| i != r),
+            "no row swap"
+        );
+        assert!(factors.nnz() > stored, "no fill: {} stored", factors.nnz());
+        assert_factors_match_the_dense_reference(&factors, &DenseLu::factor(&a).unwrap());
+    }
+
+    #[test]
+    fn tied_pivot_candidates_go_to_the_earliest_row() {
+        // |−2| = |2| in column 0, then |1| = |−1| in column 1
+        let a = DenseMatrix::from_rows(
+            4,
+            4,
+            vec![
+                1.0, 0.0, 0.0, 3.0, //
+                -2.0, 0.0, 1.0, 0.0, //
+                2.0, 1.0, 0.0, 0.0, //
+                0.0, -1.0, 0.0, 2.0,
+            ],
+        );
+        let factors = a.lu().expect("non-singular");
+        assert_eq!(factors.perm, vec![1, 2, 3, 0]);
+        assert_factors_match_the_dense_reference(&factors, &DenseLu::factor(&a).unwrap());
+    }
+
     /// A random row-dominant sparse block: diagonal only (`kind` 0), the
     /// diagonal plus the `±k` sub-diagonals (1), or a band of half-width `k`
     /// (2).
@@ -539,6 +796,30 @@ mod tests {
         let a = sparse_block(10, 1, 7, 1);
         assert_eq!(a.lu().unwrap().nnz(), 10 + 2 * 3);
         assert_eq!(DenseMatrix::identity(6).lu().unwrap().nnz(), 6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Blocks that swap rows and fill in: the same non-zeros, pivots and
+        /// solve bits as the dense reference, and the same singular ones.
+        #[test]
+        fn prop_fill_and_row_swaps_match_the_dense_reference(
+            n in 1usize..30,
+            density in 0.05f64..0.6,
+            integers in proptest::bool::ANY,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = non_dominant_block(n, density, integers, seed);
+            match DenseLu::factor(&a) {
+                None => prop_assert!(a.lu().is_none()),
+                Some(reference) => {
+                    let factors = a.lu().expect("the dense reference factored it");
+                    assert_factors_match_the_dense_reference(&factors, &reference);
+                    assert_solves_like_the_dense_reference(&a, &random_rhs(n, seed));
+                }
+            }
+        }
     }
 
     proptest! {

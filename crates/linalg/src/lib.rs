@@ -11,8 +11,8 @@
 //! * a generator of banded matrices with a controlled Jacobi spectral radius,
 //!   matching the paper's "sparse matrix designed to have a spectral radius
 //!   less than one" ([`banded`]);
-//! * small dense matrices with LU factorisation, used for block-diagonal
-//!   inverses and the Newton corrections ([`dense`]);
+//! * small dense matrices, and the LU factorisation on compressed rows that
+//!   factors the block-diagonal blocks in O(nnz + fill) ([`dense`]);
 //! * a restarted GMRES solver, the sequential inner solver of the
 //!   multi-splitting Newton method ([`gmres`]);
 //! * block-Jacobi preconditioning utilities ([`jacobi`]);

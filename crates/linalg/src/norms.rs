@@ -5,11 +5,49 @@
 //! (`residual_i^t = ||X_i^t − X_i^{t−1}||_∞`, Section 1.2); [`max_norm_diff`]
 //! computes exactly that quantity without materialising the difference vector.
 
-/// Max norm (infinity norm) `||x||_∞ = max_i |x_i|`.
+/// Max norm (infinity norm) `||x||_∞ = max_i |x_i|`, NaN when an entry is.
 ///
 /// Returns `0.0` for the empty vector.
 pub fn max_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
+    let quads = x.chunks_exact(4);
+    let rest = quads.remainder().iter().copied();
+    max_magnitude(quads.map(|q| [q[0], q[1], q[2], q[3]]), rest)
+}
+
+/// `max_i |v_i|` over `quads`, four values at a time, then over `rest`; NaN
+/// when a `v_i` is NaN, `0.0` when there are none.
+///
+/// A fold through [`nan_max`] is one dependency chain of compare-and-select
+/// and costs about 2.5 ns per value; four running maxima and a separate NaN
+/// flag cost about 0.4 ns. The largest magnitude does not depend on the
+/// order the values are visited in, so the result has `f64::max`'s bits on
+/// every input without a NaN.
+#[inline]
+fn max_magnitude(quads: impl Iterator<Item = [f64; 4]>, rest: impl Iterator<Item = f64>) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut nan = false;
+    let mut take = |lane: &mut f64, v: f64| {
+        let v = v.abs();
+        // false for a NaN, which the flag keeps
+        if v > *lane {
+            *lane = v;
+        }
+        nan |= v.is_nan();
+    };
+    for quad in quads {
+        for (lane, v) in lanes.iter_mut().zip(quad) {
+            take(lane, v);
+        }
+    }
+    let mut max = lanes.into_iter().fold(0.0, f64::max);
+    for v in rest {
+        take(&mut max, v);
+    }
+    if nan {
+        f64::NAN
+    } else {
+        max
+    }
 }
 
 /// The larger of `a` and `b`, or NaN when either is NaN.
@@ -37,15 +75,22 @@ pub fn l1_norm(x: &[f64]) -> f64 {
 }
 
 /// Max norm of the difference of two vectors, `||x − y||_∞`, computed without
-/// allocating the difference.
+/// allocating the difference; NaN when a difference is.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn max_norm_diff(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "max_norm_diff: length mismatch");
-    x.iter()
-        .zip(y.iter())
-        .fold(0.0_f64, |acc, (a, b)| acc.max((a - b).abs()))
+    let (x4, y4) = (x.chunks_exact(4), y.chunks_exact(4));
+    let rest = x4
+        .remainder()
+        .iter()
+        .zip(y4.remainder())
+        .map(|(a, b)| a - b);
+    let quads = x4
+        .zip(y4)
+        .map(|(a, b)| [a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]]);
+    max_magnitude(quads, rest)
 }
 
 /// Euclidean norm of the difference of two vectors, `||x − y||_2`.
@@ -73,6 +118,7 @@ pub fn relative_max_norm_diff(x: &[f64], y: &[f64], floor: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn max_norm_picks_largest_magnitude() {
@@ -130,6 +176,50 @@ mod tests {
         for a in samples {
             for b in samples {
                 assert_eq!(nan_max(a, b).to_bits(), a.max(b).to_bits(), "{a} {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_entry_makes_the_max_norms_nan() {
+        for at in 0..3 {
+            let mut x = [1.0, -7.5, 3.0];
+            x[at] = f64::NAN;
+            assert!(max_norm(&x).is_nan(), "NaN at {at}");
+            assert!(max_norm_diff(&x, &[0.0; 3]).is_nan(), "NaN at {at}");
+            assert!(max_norm_diff(&[0.0; 3], &x).is_nan(), "NaN at {at}");
+        }
+        // inf − inf is NaN too
+        let inf = [f64::INFINITY];
+        assert!(max_norm_diff(&inf, &inf).is_nan());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On input without a NaN, the four-lane folds give the bits of the
+        /// one-chain `f64::max` fold they replace, for every length modulo 4;
+        /// one NaN anywhere makes them NaN.
+        #[test]
+        fn prop_max_norms_match_the_f64_max_fold(
+            x in proptest::collection::vec(-4.0f64..4.0, 0..19),
+            y in proptest::collection::vec(-4.0f64..4.0, 19..20),
+            special in 0usize..4,
+            at in 0usize..19,
+        ) {
+            let mut x = x;
+            if let Some(v) = x.get_mut(at) {
+                *v = [0.0, -0.0, f64::INFINITY, f64::MAX][special];
+            }
+            let y = &y[..x.len()];
+            let fold = |v: &mut dyn Iterator<Item = f64>| v.fold(0.0f64, |acc, v| acc.max(v.abs()));
+            prop_assert_eq!(max_norm(&x).to_bits(), fold(&mut x.iter().copied()).to_bits());
+            let diff = fold(&mut x.iter().zip(y).map(|(a, b)| a - b));
+            prop_assert_eq!(max_norm_diff(&x, y).to_bits(), diff.to_bits());
+            if let Some(v) = x.get_mut(at) {
+                *v = f64::NAN;
+                prop_assert!(max_norm(&x).is_nan());
+                prop_assert!(max_norm_diff(&x, y).is_nan());
             }
         }
     }

@@ -172,8 +172,7 @@ impl SparseLinearProblem {
         for (to, range) in partition.iter() {
             let external = a.external_dependencies(range.clone());
             let mut deps: Vec<usize> = Vec::new();
-            for &col in &external {
-                let from = partition.owner(col);
+            for from in partition.owners_ascending(external.iter().copied()) {
                 needed[from][to] += 1;
                 if deps.last() != Some(&from) {
                     deps.push(from);
@@ -247,12 +246,10 @@ impl SparseLinearProblem {
         max_norm_diff(x, &self.x_exact)
     }
 
-    /// Max-norm of the linear residual `b − A·x` of a candidate solution.
+    /// Max-norm of the linear residual `b − A·x` of a candidate solution,
+    /// NaN when an entry is.
     pub fn linear_residual(&self, x: &[f64]) -> f64 {
-        let ax = self.a.spmv_alloc(x);
-        ax.iter()
-            .zip(&self.b)
-            .fold(0.0_f64, |acc, (axi, bi)| acc.max((bi - axi).abs()))
+        max_norm_diff(&self.b, &self.a.spmv_alloc(x))
     }
 }
 
@@ -316,25 +313,20 @@ impl GatherPlan {
         }
         let rows = CsrMatrix::from_raw(own.len(), cols.len(), row_ptr, col_idx, values);
 
-        let mut runs = Vec::new();
-        let mut dst = 0;
-        while dst < cols.len() {
-            let dep = partition.owner(cols[dst]);
-            let dep_range = partition.range(dep);
-            let mut len = 1;
-            while dst + len < cols.len()
-                && cols[dst + len] == cols[dst] + len
-                && cols[dst + len] < dep_range.end
-            {
-                len += 1;
+        // a run grows while the columns are consecutive in one block
+        let mut runs: Vec<CopyRun> = Vec::new();
+        let owners = partition.owners_ascending(cols.iter().copied());
+        for (dst, (&col, dep)) in cols.iter().zip(owners).enumerate() {
+            let src = col - partition.start(dep);
+            match runs.last_mut() {
+                Some(run) if run.dep == dep && run.src + run.len == src => run.len += 1,
+                _ => runs.push(CopyRun {
+                    dep,
+                    src,
+                    len: 1,
+                    dst,
+                }),
             }
-            runs.push(CopyRun {
-                dep,
-                src: cols[dst] - dep_range.start,
-                len,
-                dst,
-            });
-            dst += len;
         }
         Self { rows, runs }
     }
@@ -415,15 +407,12 @@ impl IterativeKernel for SparseLinearProblem {
             plan.rows.residual(&self.b[range], x, r);
             // correction M_i⁻¹ · r, straight into the caller's back buffer
             self.jacobi.apply_block_into(block, r, out);
-            // new iterate x + γ · correction in place, folding the update
-            // residual max into the same pass
-            let mut residual = 0.0f64;
+            // new iterate x + γ · correction in place, then the update
+            // residual ‖new − x‖_∞ (NaN if an entry is) over the same buffer
             for (oi, xi) in out.iter_mut().zip(local) {
-                let new = xi + self.params.gamma * *oi;
-                residual = residual.max((new - xi).abs());
-                *oi = new;
+                *oi = xi + self.params.gamma * *oi;
             }
-            residual
+            max_norm_diff(out, local)
         });
         InPlaceUpdate {
             residual,
@@ -449,6 +438,7 @@ mod tests {
     use aiac_core::config::RunConfig;
     use aiac_core::runtime::sequential::SequentialRuntime;
     use aiac_core::runtime::threaded::ThreadedRuntime;
+    use aiac_linalg::norms::nan_max;
 
     fn small(shape: MatrixShape) -> SparseLinearProblem {
         let mut params = SparseLinearParams::paper_scaled(240, 4);
@@ -599,7 +589,7 @@ mod tests {
             .zip(&correction)
             .map(|(xi, ci)| {
                 let new = xi + p.params.gamma * ci;
-                residual = residual.max((new - xi).abs());
+                residual = nan_max(residual, (new - xi).abs());
                 new
             })
             .collect();
@@ -651,11 +641,41 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_makes_the_residuals_nan() {
+        let p = small(MatrixShape::ScatteredDiagonals);
+        assert!(p.linear_residual(&vec![f64::NAN; 240]).is_nan());
+        let mut x = p.exact_solution().to_vec();
+        assert!(p.linear_residual(&x) < 1e-9);
+        x[100] = f64::NAN;
+        assert!(p.linear_residual(&x).is_nan());
+
+        let view = DependencyView::from_initial(&p);
+        for at in [0, 30, 59] {
+            let mut local = p.initial_block(1);
+            local[at] = f64::NAN;
+            let mut out = vec![0.0; local.len()];
+            let update = p.update_block_into(1, &local, &view, &mut out);
+            assert!(update.residual.is_nan(), "NaN at {at}");
+            let (_, reference) = reference_update(&p, 1, &local, &view);
+            assert!(reference.is_nan(), "NaN at {at}");
+        }
+    }
+
+    #[test]
     fn paper_scaled_diagonal_blocks_factor_without_fill() {
         // `iteration_flops` charges the preconditioner solve 2 flops per
         // non-zero of the diagonal block; that describes the sparse
         // triangular solves only if factoring the block creates no fill.
-        for (n, blocks) in [(6000, 12), (24_000, 256), (1200, 12)] {
+        //
+        // The 60 000-row blocks of n = 120 001 would need a 28.8 GB dense
+        // copy. Their in-block offsets are the multiples of 8 000, so each
+        // residue class mod 8 000 is a band and stays one. At n = 120 000
+        // the offsets are 7 999, 15 999, ...: row i holds column i − 15 999,
+        // so eliminating it subtracts a multiple of row i − 15 999, whose
+        // entry at column i − 8 000 lies on no offset of row i. That fill
+        // spreads: n = 12 000 in 2 blocks stores 11 million factor non-zeros
+        // against 90 428 in its blocks.
+        for (n, blocks) in [(6000, 12), (24_000, 256), (1200, 12), (120_001, 2)] {
             let p = SparseLinearProblem::new(SparseLinearParams::paper_scaled(n, blocks));
             for (b, range) in p.partition.iter() {
                 assert_eq!(

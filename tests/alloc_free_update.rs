@@ -10,6 +10,11 @@
 //! four times the bytes, and asks the kernel for each block's initial values
 //! once.
 //!
+//! And building a sparse problem allocates in proportion to its non-zeros:
+//! factoring the diagonal blocks costs a few compressed copies of them, not
+//! a dense m × m working copy, and twice the unknowns cost about twice the
+//! bytes.
+//!
 //! This file replaces the process's global allocator with a counting one.
 //! The allocation count is kept per thread, so whatever the test harness
 //! allocates on its own threads is not attributed to the kernel; the byte
@@ -17,6 +22,7 @@
 //! the tests take turns on a lock.
 
 use aiac::core::kernel::{BlockUpdate, DependencyView, InPlaceUpdate};
+use aiac::linalg::jacobi::BlockJacobi;
 use aiac::prelude::*;
 use aiac::service::job::ServiceRing;
 use aiac::solvers::chemical::{ChemicalParams, ChemicalProblem};
@@ -24,7 +30,7 @@ use aiac::solvers::sparse_linear::SparseLinearParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -94,7 +100,9 @@ fn warm_update_allocations(kernel: &dyn IterativeKernel, first: usize) -> usize 
 
 #[test]
 fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(1200, 12));
     // the first call sizes the scratch for the largest block
     let allocated = warm_update_allocations(&problem, 0);
@@ -108,7 +116,9 @@ fn sparse_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
 
 #[test]
 fn chemical_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     // 31 z-rows in 4 strips of 8, 8, 8 and 7 rows: two strip heights
     let problem = ChemicalProblem::new(ChemicalParams::paper_scaled(30, 31, 4));
     let kernel = problem.step_kernel(problem.initial_state(), 0);
@@ -120,6 +130,58 @@ fn chemical_block_updates_allocate_nothing_after_the_first_call_on_a_thread() {
         0,
         "{allocated} heap allocations in {} warm block updates",
         3 * kernel.num_blocks()
+    );
+}
+
+/// Bytes the process allocates while `build` runs, and what it built.
+fn bytes_allocated_by<T>(build: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let built = build();
+    (BYTES.load(Ordering::Relaxed) - before, built)
+}
+
+#[test]
+fn block_jacobi_allocates_in_proportion_to_the_non_zeros() {
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    // Two blocks of 4 096 rows: one dense working copy would be 128 MiB.
+    let problem = SparseLinearProblem::new(SparseLinearParams::paper_scaled(8192, 2));
+    let (a, partition) = (problem.matrix(), problem.partition());
+    let (bytes, jacobi) = bytes_allocated_by(|| BlockJacobi::new(a, partition));
+    let jacobi = jacobi.expect("dominant blocks factor");
+    let block_nnz: usize = partition
+        .iter()
+        .map(|(_, rows)| a.diagonal_block(rows).nnz())
+        .sum();
+    let factor_nnz: usize = (0..jacobi.blocks()).map(|b| jacobi.factor_nnz(b)).sum();
+    assert_eq!(factor_nnz, block_nnz, "these blocks factor without fill");
+    // A compressed copy of the blocks is 16 B per non-zero. The working
+    // rows, the column lists and the stored factors are a few such copies.
+    assert!(
+        bytes <= 6 * 16 * block_nnz,
+        "{bytes} B to factor {block_nnz} non-zeros ({:.0} B each): the \
+         elimination is not working on compressed rows",
+        bytes as f64 / block_nnz as f64
+    );
+}
+
+#[test]
+fn building_a_sparse_problem_allocates_in_proportion_to_its_size() {
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    // 8 blocks of 750 and of 1 500 rows, both without fill: a dense working
+    // copy of a block would grow 4×
+    let build = |n: usize| {
+        bytes_allocated_by(|| SparseLinearProblem::new(SparseLinearParams::paper_scaled(n, 8))).0
+    };
+    let (small, large) = (build(6000), build(12_000));
+    assert!(
+        large * 10 <= small * 22,
+        "twice the unknowns allocated {large} B against {small} B ({:.2}x): \
+         the build grows faster than the matrix",
+        large as f64 / small as f64
     );
 }
 
@@ -160,7 +222,9 @@ impl IterativeKernel for CountsInitialBlocks {
 #[test]
 fn run_start_up_allocates_in_proportion_to_the_block_count() {
     type Run<'a> = &'a dyn Fn(&dyn IterativeKernel);
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     // One sweep: the run is all start-up. (bytes allocated, initial_block calls)
     let one_sweep = |blocks: usize, run: Run| {
         let kernel = CountsInitialBlocks {
@@ -205,7 +269,9 @@ fn run_start_up_allocates_in_proportion_to_the_block_count() {
 
 #[test]
 fn a_synchronous_superstep_allocates_nothing() {
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let ring = ServiceRing::new(64);
     // Bytes allocated by a 2-worker SISC run of exactly `supersteps`
     // supersteps (ε is out of reach). The smallest of three runs, so that an
@@ -290,7 +356,9 @@ impl IterativeKernel for WideRing {
 
 #[test]
 fn a_warm_asynchronous_iteration_allocates_no_per_edge_envelope() {
-    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap();
+    let _turn = ONE_TEST_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let blocks = 64;
     let ring = WideRing { blocks };
     // Bytes allocated by a 2-worker AIAC run in which every block iterates
