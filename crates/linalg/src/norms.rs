@@ -180,20 +180,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_nan_entry_makes_the_max_norms_nan() {
-        for at in 0..3 {
-            let mut x = [1.0, -7.5, 3.0];
-            x[at] = f64::NAN;
-            assert!(max_norm(&x).is_nan(), "NaN at {at}");
-            assert!(max_norm_diff(&x, &[0.0; 3]).is_nan(), "NaN at {at}");
-            assert!(max_norm_diff(&[0.0; 3], &x).is_nan(), "NaN at {at}");
-        }
-        // inf − inf is NaN too
-        let inf = [f64::INFINITY];
-        assert!(max_norm_diff(&inf, &inf).is_nan());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -216,10 +202,13 @@ mod tests {
             prop_assert_eq!(max_norm(&x).to_bits(), fold(&mut x.iter().copied()).to_bits());
             let diff = fold(&mut x.iter().zip(y).map(|(a, b)| a - b));
             prop_assert_eq!(max_norm_diff(&x, y).to_bits(), diff.to_bits());
-            if let Some(v) = x.get_mut(at) {
-                *v = f64::NAN;
+            if at < x.len() {
+                x[at] = f64::NAN;
                 prop_assert!(max_norm(&x).is_nan());
                 prop_assert!(max_norm_diff(&x, y).is_nan());
+                // inf − inf is a NaN difference too
+                x[at] = f64::INFINITY;
+                prop_assert!(max_norm_diff(&x, &x).is_nan());
             }
         }
     }
